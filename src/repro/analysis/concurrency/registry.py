@@ -91,29 +91,11 @@ GUARDS: tuple[GuardSpec, ...] = (
         note="bounded LRU of compiled executables; resize races inserts",
     ),
     GuardSpec(
-        "repro.runtime.engine",
-        "ExecutionConfig",
-        "_pool_lock",
-        ("_pool",),
-        note="lazy pool build vs idempotent shutdown; join happens outside",
-    ),
-    GuardSpec(
         "repro.runtime.executable",
         "ConvExecutable",
         "_flock",
         ("_filters",),
         note="weight-version-keyed filter-transform LRU",
-    ),
-    GuardSpec(
-        "repro.runtime.tuningcache",
-        "ActiveTuning",
-        "_lock",
-        ("_table", "_generation", "_guards"),
-        note=(
-            "active tuning table + activation epoch + per-entry never-worse "
-            "guard state, swapped atomically by activate()/deactivate(); "
-            "lookups race tuned dispatches feeding the guard"
-        ),
     ),
     # -- repro.serve ---------------------------------------------------------
     GuardSpec(

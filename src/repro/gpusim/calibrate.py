@@ -234,9 +234,8 @@ class CalibrationModel:
         """Content digest of the model's predictions: host + coefficients.
 
         Two models with the same digest price every candidate identically,
-        so consumers that cache rankings (the gpusim autotuner's ``_CACHE``,
-        the tuning table's provenance field) key on this rather than on the
-        host name — loading a *different* calibration file for the same
+        so consumers that cache rankings (the gpusim autotuner's ``_CACHE``)
+        key on this rather than on the host name — loading a *different* calibration file for the same
         host must invalidate, and it does because the coefficients differ.
         """
         body = json.dumps(

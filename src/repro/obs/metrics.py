@@ -83,7 +83,7 @@ class _Metric:
 class Counter(_Metric):
     """Monotonic total per label set.
 
-    Increments are lock-guarded: the runtime's opt-in thread pool calls
+    Increments are lock-guarded: the serve scheduler's execution pool calls
     :func:`counter_add` from worker threads, and an unguarded
     read-modify-write would silently drop concurrent increments.
     """
@@ -155,7 +155,7 @@ class Histogram(_Metric):
     """Streaming summary (count/sum/min/max/mean) per label set.
 
     Observations are lock-guarded for the same reason as :class:`Counter`:
-    samples may arrive from the runtime's pooled worker threads.
+    samples may arrive from the serve scheduler's worker threads.
     """
 
     kind = "histogram"

@@ -16,18 +16,12 @@ Entry points
 :func:`convolve`
     Drop-in, bit-identical twin of ``conv2d_im2col_winograd``.
 :func:`configure`
-    Process-wide knobs: opt-in thread pool, workspace bound, cache size.
+    Process-wide knobs: workspace bound, cache size.
 :func:`cache_stats` / :func:`clear_cache`
     Plan-cache observability (also exported as ``runtime.cache.*`` obs
     counters).
-:mod:`repro.runtime.autotune` / :mod:`repro.runtime.tuningcache`
-    Measured per-signature tuning: search the (kernel × block × dispatch)
-    space, persist bit-identical winners in ``TUNE_<host>.json``, and —
-    under an explicitly activated table — make tuned dispatch the
-    :func:`convolve` default with a never-worse runtime guard.
 """
 
-from . import tuningcache
 from .cache import (
     CacheStats,
     ExecutableCache,
@@ -46,7 +40,6 @@ from .engine import (
 )
 from .executable import ConvExecutable, FilterBundle, build_filter_bundle
 from .signature import ConvSignature
-from .tuningcache import TunedEntry, TuningCacheError, TuningTable, tuning_path
 
 __all__ = [
     "CacheStats",
@@ -55,11 +48,6 @@ __all__ = [
     "ExecutableCache",
     "ExecutionConfig",
     "FilterBundle",
-    "TunedEntry",
-    "TuningCacheError",
-    "TuningTable",
-    "tuning_path",
-    "tuningcache",
     "build_filter_bundle",
     "cache_stats",
     "clear_cache",

@@ -7,10 +7,9 @@ resolved through the process-wide executable cache, so planning, transform
 matrices, gather descriptors, einsum paths and (per weight version) the
 filter transforms are all reused across calls.
 
-:class:`ExecutionConfig` carries the execution knobs: ``threads`` enables
-the opt-in thread pool over (segment, batch-chunk) tasks for the training
-path, ``workspace_bytes`` bounds the per-chunk intermediate footprint.
-Both only change dispatch, never arithmetic — results stay bit-identical.
+:class:`ExecutionConfig` carries the execution knob ``workspace_bytes``,
+which bounds the per-chunk intermediate footprint.  It only changes how a
+batch is split, never the arithmetic — results stay bit-identical.
 
 :func:`force_legacy` is the serving layer's graceful-degradation hatch: a
 thread-local scope under which :func:`convolve` bypasses the compiled
@@ -26,8 +25,7 @@ import contextlib
 import functools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -36,7 +34,6 @@ from ..core.fused import DEFAULT_BLOCK_IC
 from ..obs import counter_add
 from ..obs.perfledger import record_execution
 from ..obs.tracer import enabled as _obs_enabled
-from . import tuningcache
 from .cache import get_executable, global_cache
 from .executable import FilterBundle
 from .signature import ConvSignature
@@ -60,41 +57,7 @@ DEFAULT_WORKSPACE_BYTES = 256 * 1024 * 1024
 class ExecutionConfig:
     """Dispatch knobs for compiled execution (arithmetic-neutral)."""
 
-    threads: int = 0
     workspace_bytes: int = DEFAULT_WORKSPACE_BYTES
-    _pool: ThreadPoolExecutor | None = field(default=None, repr=False, compare=False)
-    _pool_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def pool(self) -> ThreadPoolExecutor:
-        """Lazily-built shared pool of ``threads`` workers."""
-        if self.threads < 2:
-            raise ValueError("pool() requires threads >= 2")
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.threads, thread_name_prefix="repro-runtime"
-                )
-            return self._pool
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Release the worker pool.  Idempotent and teardown-safe.
-
-        Server teardown paths may call this more than once (scheduler stop
-        plus an ``atexit``/context-manager layer), possibly while another
-        thread is mid-dispatch.  A second call is a no-op; a dispatcher that
-        raced the shutdown and holds the now-closed pool falls back to
-        serial execution (see ``ConvExecutable.__call__``) rather than
-        failing the convolution.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            # Outside the lock: wait=True joins workers, and a worker (or a
-            # racing dispatcher) calling pool()/shutdown() again must not
-            # deadlock against us.
-            pool.shutdown(wait=wait)
 
 
 _DEFAULT = ExecutionConfig()
@@ -120,9 +83,9 @@ def force_legacy() -> Iterator[None]:
     """Route this thread's :func:`convolve` calls through the legacy path.
 
     The interpreted reference implementation shares no compiled state with
-    the runtime (no executable cache, no filter-transform cache, no pooled
-    dispatch), so it stays available even when a compiled executable is
-    failing — the serving layer's graceful-degradation contract.  Nestable
+    the runtime (no executable cache, no filter-transform cache), so it
+    stays available even when a compiled executable is failing — the
+    serving layer's graceful-degradation contract.  Nestable
     and exception-safe; counts ``runtime.degraded.calls`` per bypassed call.
     """
     prev = getattr(_DEGRADED, "on", False)
@@ -135,23 +98,15 @@ def force_legacy() -> Iterator[None]:
 
 def configure(
     *,
-    threads: int | None = None,
     workspace_bytes: int | None = None,
     cache_capacity: int | None = None,
 ) -> ExecutionConfig:
     """Adjust the process-wide runtime configuration in place.
 
-    ``threads=0`` (the default) keeps dispatch serial; ``threads=k >= 2``
-    enables the pooled dispatch over (segment, batch-chunk) tasks.
-    ``cache_capacity`` resizes the executable LRU.
+    ``workspace_bytes`` bounds the per-chunk intermediates a batch is split
+    by; ``cache_capacity`` resizes the executable LRU.
     Returns the active config for inspection.
     """
-    if threads is not None:
-        if threads < 0:
-            raise ValueError(f"threads must be >= 0, got {threads}")
-        if threads != _DEFAULT.threads:
-            _DEFAULT.shutdown()
-            _DEFAULT.threads = threads
     if workspace_bytes is not None:
         if workspace_bytes < 1:
             raise ValueError(f"workspace_bytes must be >= 1, got {workspace_bytes}")
@@ -202,7 +157,6 @@ def convolve(
     block_ic: int | None = DEFAULT_BLOCK_IC,
     version: object = None,
     bundle: FilterBundle | None = None,
-    config: ExecutionConfig | None = None,
 ) -> np.ndarray:
     """Unit-stride conv through the compiled-plan runtime.
 
@@ -256,19 +210,5 @@ def convolve(
     sig = ConvSignature.for_operands(
         x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
     )
-    # Tuned dispatch is the production default — but only under an
-    # *explicitly activated* tuning table (mirroring the calibration
-    # activation contract): without one, lookup() is a silent no-op and the
-    # modeled CI suites stay machine-independent.  Tuned entries are
-    # bit-identical to this default path by construction, so the branch can
-    # only change *when* the bits are computed, never which bits.
-    tuned = tuningcache.lookup(sig, int(x.shape[0]))
-    if tuned is not None:
-        from . import autotune  # lazy: autotune imports this module
-
-        return autotune.execute_tuned(
-            tuned, x, w,
-            version=version, bundle=bundle, config=config, block_ic=block_ic,
-        )
     exe = get_executable(sig)
-    return exe(x, w, version=version, bundle=bundle, config=config, block_ic=block_ic)
+    return exe(x, w, version=version, bundle=bundle, block_ic=block_ic)

@@ -32,10 +32,10 @@ every output bit — matches the legacy path at the same ``block_ic``
 (asserted across the registry in ``tests/test_runtime.py``), with none of
 its per-block ``ascontiguousarray`` copies or per-call planning overhead.
 
-Large batches are processed in bounded workspace chunks; an opt-in thread
-pool (see :class:`~repro.runtime.engine.ExecutionConfig`) dispatches chunks
-concurrently for the training path.  Chunk boundaries never change the
-arithmetic, so threaded results stay bit-identical to serial ones.
+Large batches are processed in bounded workspace chunks (see
+:class:`~repro.runtime.engine.ExecutionConfig`).  Chunk boundaries never
+change the arithmetic, so chunked results stay bit-identical to unchunked
+ones.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -61,9 +61,6 @@ from ..obs import telemetry
 from ..obs.perfledger import record_execution
 from ..obs.tracer import enabled as _obs_enabled
 from .signature import ConvSignature
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .engine import ExecutionConfig
 
 __all__ = ["ConvExecutable", "FilterBundle", "build_filter_bundle"]
 
@@ -329,7 +326,6 @@ class ConvExecutable:
         *,
         version: object = None,
         bundle: FilterBundle | None = None,
-        config: "ExecutionConfig | None" = None,
         block_ic: int | None = DEFAULT_BLOCK_IC,
     ) -> np.ndarray:
         """Run the compiled convolution on ``x`` (any batch size).
@@ -340,9 +336,6 @@ class ConvExecutable:
         bit-for-bit as in the interpreted path (``None`` accumulates the
         full depth in one fh-fused contraction, the fastest setting).
         """
-        from .engine import default_config
-
-        cfg = config if config is not None else default_config()
         if block_ic is not None and block_ic < 1:
             raise ValueError(f"block_ic must be >= 1 or None, got {block_ic}")
         sig = self.sig
@@ -369,7 +362,7 @@ class ConvExecutable:
                 resolved.append(self.filter_bundle(w, version=version))
             return resolved[0]
 
-        tasks = self._tasks(batch, cfg)
+        tasks = self._tasks(batch)
         # Predict-vs-measure ledger: with observability on, every call is
         # clocked and recorded next to its cost-model prediction (zero clock
         # reads when disabled — part of the telemetry-overhead gate).
@@ -406,31 +399,8 @@ class ConvExecutable:
                 2 * batch * sig.oc * self.oh * self.ow * sig.fh * sig.fw * sig.ic,
             )
             counter_add("runtime.exec.calls")
-            if cfg.threads > 1 and len(tasks) > 1:
-                get_bundle()  # resolve once, outside the pool
-                # ContextVars do not cross pool threads on their own; hand
-                # the active trace position over so per-segment spans parent
-                # under this conv span regardless of which worker runs them.
-                tctx = telemetry.current()
-
-                def run_task(t: _Task) -> None:
-                    with telemetry.activate(tctx):
-                        self._run_task(t, x, y, get_bundle, block_ic)
-
-                try:
-                    pool = cfg.pool()
-                    list(pool.map(run_task, tasks))
-                except RuntimeError:
-                    # The pool was shut down between pool() and the submits
-                    # (server teardown racing a dispatch).  Tasks are
-                    # idempotent slice writes, so rerunning the full list
-                    # serially is safe whether or not some already ran.
-                    counter_add("runtime.pool.serial_fallbacks")
-                    for task in tasks:
-                        self._run_task(task, x, y, get_bundle, block_ic)
-            else:
-                for task in tasks:
-                    self._run_task(task, x, y, get_bundle, block_ic)
+            for task in tasks:
+                self._run_task(task, x, y, get_bundle, block_ic)
         if ledger:
             record_execution(
                 signature=sig.label,
@@ -451,45 +421,34 @@ class ConvExecutable:
         serving batcher's workspace-budget flush trigger — can reason about
         how many coalesced rows one dispatch of this executable costs.
         """
-        itemsize = self.dtype.itemsize
-        peak = 0
-        for st in self._states:
-            if isinstance(st, _GemmSegment):
-                per_row = itemsize * (
-                    self.sig.ih * st.need * self.sig.ic
-                    + self.oh * st.seg.width
-                    * (self.sig.fh * self.sig.fw * self.sig.ic + self.sig.oc)
-                )
-            else:
-                per_row = itemsize * (
-                    st.nrows * st.ncols * self.sig.ic
-                    + st.alpha * self.sig.fh * self.oh * st.num_tiles
-                    * (self.sig.ic + self.sig.oc)
-                    + 2 * st.alpha * self.oh * st.num_tiles * self.sig.oc
-                )
-            peak = max(peak, per_row)
-        return peak
+        return max((self._row_bytes(st) for st in self._states), default=0)
 
-    def _tasks(self, batch: int, cfg: "ExecutionConfig") -> list[_Task]:
+    def _row_bytes(self, st: _WinogradSegment | _GemmSegment) -> int:
+        """Per-batch-row intermediate bytes of one segment."""
+        sig = self.sig
+        if isinstance(st, _GemmSegment):
+            return self.dtype.itemsize * (
+                sig.ih * st.need * sig.ic
+                + self.oh * st.seg.width * (sig.fh * sig.fw * sig.ic + sig.oc)
+            )
+        # Gathered region + V + P (+ m, y slice).
+        return self.dtype.itemsize * (
+            st.nrows * st.ncols * sig.ic
+            + st.alpha * sig.fh * self.oh * st.num_tiles * (sig.ic + sig.oc)
+            + 2 * st.alpha * self.oh * st.num_tiles * sig.oc
+        )
+
+    def _tasks(self, batch: int) -> list[_Task]:
         """Split each segment into bounded-workspace batch chunks."""
+        from .engine import default_config
+
+        workspace = default_config().workspace_bytes
         tasks: list[_Task] = []
-        itemsize = self.dtype.itemsize
         for st in self._states:
             if isinstance(st, _GemmSegment):
                 tasks.append(_Task(st, 0, batch, True))
                 continue
-            # Peak per batch row: gathered region + V + P (+ m, y slice).
-            per_row = itemsize * (
-                st.nrows * st.ncols * self.sig.ic
-                + st.alpha * self.sig.fh * self.oh * st.num_tiles
-                * (self.sig.ic + self.sig.oc)
-                + 2 * st.alpha * self.oh * st.num_tiles * self.sig.oc
-            )
-            rows = max(1, cfg.workspace_bytes // max(per_row, 1))
-            if cfg.threads > 1:
-                # Enough chunks to feed the pool, still workspace-bounded.
-                rows = min(rows, max(1, -(-batch // (2 * cfg.threads))))
-            rows = min(rows, batch)
+            rows = min(max(1, workspace // max(self._row_bytes(st), 1)), batch)
             for i, n0 in enumerate(range(0, batch, rows)):
                 tasks.append(_Task(st, n0, min(n0 + rows, batch), i == 0))
         return tasks
@@ -577,7 +536,7 @@ class ConvExecutable:
                     # Logical gather volume for the whole segment (all FH
                     # rows, full batch) — gated like the winograd.* counters
                     # so the totals match the legacy path and do not drift
-                    # with workspace/thread chunking.
+                    # with workspace chunking.
                     counter_add("gather.calls", fh)
                     counter_add(
                         "gather.bytes",

@@ -109,14 +109,12 @@ class ClusterConfig:
     #: Health checking: ping cadence and the silence that means "hung".
     heartbeat_interval_s: float = 0.5
     heartbeat_timeout_s: float = 10.0
-    #: Worker startup budget (spawn + import + warmup (+ tune)).
+    #: Worker startup budget (spawn + import + warmup).
     start_timeout_s: float = 180.0
     #: Crash handling: restart dead workers (same name, new generation)
     #: up to ``max_restarts`` times each.
     restart: bool = True
     max_restarts: int = 3
-    #: Forwarded to the workers' registries (PR-9 warmup autotuning).
-    tune: bool = False
     #: Enable obs instrumentation / request telemetry inside workers.
     obs: bool = False
     telemetry: bool = False
@@ -228,7 +226,6 @@ class ClusterRouter:
             max_queue_delay_ms=self.config.max_queue_delay_ms,
             default_timeout_ms=self.config.default_timeout_ms,
             execute_threads=self.config.execute_threads,
-            tune=self.config.tune,
             telemetry=self.config.telemetry,
             obs=self.config.obs,
         )

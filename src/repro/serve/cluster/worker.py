@@ -1,8 +1,7 @@
 """Worker process: one warmed single-process serving stack behind a pipe.
 
-Each worker is a *complete* PR-5 serving stack — its own
-:class:`~repro.serve.registry.ModelRegistry` (warmed, optionally
-``tune=True``-searched) feeding its own
+Each worker is a *complete* PR-5 serving stack — its own warmed
+:class:`~repro.serve.registry.ModelRegistry` feeding its own
 :class:`~repro.serve.service.InferenceService` with dynamic batching —
 wrapped in a control loop that speaks the cluster protocol:
 
@@ -109,7 +108,7 @@ class WorkerSpec:
 
     The spec crosses the process boundary as a plain dict (spawn pickles
     only primitives + the Connection), so a restarted worker is a pure
-    function of its spec — same models, same warmup, same tuned dispatch —
+    function of its spec — same models, same warmup, same dispatch —
     which is what makes post-restart bit-identity testable.
     """
 
@@ -123,7 +122,6 @@ class WorkerSpec:
     max_queue_delay_ms: float = 2.0
     default_timeout_ms: float | None = 1000.0
     execute_threads: int = 1
-    tune: bool = False
     telemetry: bool = False
     obs: bool = False
     extra: dict[str, Any] = field(default_factory=dict)
@@ -140,7 +138,6 @@ class WorkerSpec:
             "max_queue_delay_ms": self.max_queue_delay_ms,
             "default_timeout_ms": self.default_timeout_ms,
             "execute_threads": self.execute_threads,
-            "tune": self.tune,
             "telemetry": self.telemetry,
             "obs": self.obs,
             "extra": dict(self.extra),
@@ -160,7 +157,6 @@ class WorkerSpec:
             max_queue_delay_ms=float(d.get("max_queue_delay_ms", 2.0)),
             default_timeout_ms=None if timeout is None else float(timeout),
             execute_threads=int(d.get("execute_threads", 1)),
-            tune=bool(d.get("tune", False)),
             telemetry=bool(d.get("telemetry", False)),
             obs=bool(d.get("obs", False)),
             extra=dict(d.get("extra", ())),
@@ -208,7 +204,6 @@ def worker_main(conn: Connection, spec_dict: dict[str, Any]) -> None:
                 seed=model.seed,
                 extra_images=model.extra_images,
                 warmup=True,
-                tune=spec.tune,
             )
         warmup_ms = (time.perf_counter() - t0) * 1e3
         slab = SlabRing.attach(spec.slab_name, spec.slot_bytes, spec.slots)

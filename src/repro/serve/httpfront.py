@@ -33,14 +33,16 @@ from ..obs import telemetry
 from ..obs.telemetry import TraceContext
 from .errors import BadRequest, ServeError
 
-__all__ = ["JsonHttpServer", "handle_infer_request", "REASONS"]
+__all__ = ["FramingError", "JsonHttpServer", "handle_infer_request", "REASONS"]
 
 #: Reason phrases for the statuses the serving layer emits.
 REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -49,6 +51,9 @@ REASONS = {
 #: Request-body cap: a (max_batch, H, W, C) float32 payload rendered as a
 #: JSON nested list is large but bounded; past this is a client error.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Header lines accepted per request; a client streaming more is refused.
+MAX_HEADER_LINES = 100
 
 DispatchResult = tuple[int, "dict[str, object] | str", dict[str, str]]
 Dispatch = Callable[[str, str, dict[str, str], bytes], Awaitable[DispatchResult]]
@@ -63,6 +68,19 @@ class _InferFn(Protocol):
         timeout_ms: float | None | object = "default",
         trace: TraceContext | None = None,
     ) -> Awaitable[np.ndarray]: ...
+
+
+class FramingError(BadRequest):
+    """A request whose framing cannot be trusted.
+
+    The server cannot tell where the next request on the connection would
+    start, so it answers with :attr:`http_status` and closes instead of
+    parsing body bytes as a request.
+    """
+
+    def __init__(self, message: str, http_status: int = 400) -> None:
+        super().__init__(message)
+        self.http_status = http_status
 
 
 class JsonHttpServer:
@@ -100,28 +118,19 @@ class JsonHttpServer:
             task.add_done_callback(self._conns.discard)
         try:
             while True:
-                request = await self.read_request(reader)
+                try:
+                    request = await self.read_request(reader)
+                except FramingError as exc:
+                    err: dict[str, object] = {"error": str(exc), "kind": type(exc).__name__}
+                    await self._respond(writer, exc.http_status, err, {}, close=True)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
                 status, payload, extra = await self._dispatch(
                     method, path, headers, body
                 )
-                if isinstance(payload, str):
-                    data = payload.encode()
-                    ctype = extra.pop("content-type", "text/plain; charset=utf-8")
-                else:
-                    data = (json.dumps(payload) + "\n").encode()
-                    ctype = "application/json"
-                head = [
-                    f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
-                    f"Content-Type: {ctype}",
-                    f"Content-Length: {len(data)}",
-                    "Connection: keep-alive",
-                ]
-                head.extend(f"{k}: {v}" for k, v in extra.items())
-                writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + data)
-                await writer.drain()
+                await self._respond(writer, status, payload, extra)
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass
         except asyncio.CancelledError:
@@ -134,9 +143,41 @@ class JsonHttpServer:
                 pass
 
     @staticmethod
+    async def _respond(
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: "dict[str, object] | str",
+        extra: dict[str, str],
+        *,
+        close: bool = False,
+    ) -> None:
+        if isinstance(payload, str):
+            data = payload.encode()
+            ctype = extra.pop("content-type", "text/plain; charset=utf-8")
+        else:
+            data = (json.dumps(payload) + "\n").encode()
+            ctype = "application/json"
+        head = [
+            f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
+            f"Content-Type: {ctype}",
+            f"Content-Length: {len(data)}",
+            f"Connection: {'close' if close else 'keep-alive'}",
+        ]
+        head.extend(f"{k}: {v}" for k, v in extra.items())
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + data)
+        await writer.drain()
+
+    @staticmethod
     async def read_request(
         reader: asyncio.StreamReader,
     ) -> tuple[str, str, dict[str, str], bytes] | None:
+        """Read one request; ``None`` at EOF or on a garbled request line.
+
+        Raises :class:`FramingError` when the request cannot be delimited:
+        a ``Content-Length`` that is not a decimal count (400), a body over
+        :data:`MAX_BODY_BYTES` (413), or more than :data:`MAX_HEADER_LINES`
+        header lines (431).
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -145,16 +186,22 @@ class JsonHttpServer:
         except ValueError:
             return None
         headers: dict[str, str] = {}
-        while True:
+        for _ in range(MAX_HEADER_LINES + 1):
             header = await reader.readline()
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = min(int(headers.get("content-length", "0")), MAX_BODY_BYTES)
-        except ValueError:
-            length = 0
+        else:
+            raise FramingError(f"more than {MAX_HEADER_LINES} header lines", 431)
+        raw = headers.get("content-length", "0")
+        if not (raw.isascii() and raw.isdigit()):
+            raise FramingError(f"invalid Content-Length {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            raise FramingError(
+                f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte limit", 413
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 

@@ -49,7 +49,6 @@ from ..dlframe.models.vgg import vgg16, vgg16x5, vgg16x7, vgg19
 from ..dlframe.serialization import load_weights as _load_weights
 from ..obs import counter_add, span
 from ..obs.telemetry import trace_span
-from .batching import BatchPolicy
 from .errors import BadRequest, ModelNotFound
 
 __all__ = [
@@ -120,11 +119,6 @@ class RegisteredModel:
     executables_resolved: int = 0
     per_row_workspace_bytes: int = 0
     warmup_ms: float = 0.0
-    #: Conv signatures the warmup forward resolved fresh — the set warmup
-    #: tuning (``register(tune=True)``) searches.
-    conv_signatures: tuple[runtime.ConvSignature, ...] = ()
-    #: Tuned entries installed for this model by warmup tuning.
-    tuned_convs: int = 0
     #: Affine predicted batch cost (conv portion, from the machine cost
     #: model): one dispatch of ``k`` rows ≈ ``call + row * padded_rows(k)``.
     predicted_row_ns: float = 0.0
@@ -215,7 +209,6 @@ class RegisteredModel:
             "executables_resolved": self.executables_resolved,
             "per_row_workspace_bytes": self.per_row_workspace_bytes,
             "warmup_ms": self.warmup_ms,
-            "tuned_convs": self.tuned_convs,
             "predicted_row_ns": self.predicted_row_ns,
             "predicted_call_ns": self.predicted_call_ns,
             "parameters": self.model.num_parameters(),
@@ -245,24 +238,12 @@ class ModelRegistry:
         seed: int = 0,
         extra_images: tuple[int, ...] = (),
         warmup: bool = True,
-        tune: bool = False,
-        tune_batch: int | None = None,
-        tune_reps: int = 2,
     ) -> RegisteredModel:
         """Register ``model`` (or build ``arch``) under ``name`` and warm it.
 
         ``extra_images`` warms additional square input sizes (models whose
         head tolerates them, e.g. ResNet's global pooling) so each size's
         executables are resolved up front and admitted as request buckets.
-
-        ``tune=True`` extends the warmup contract from *resolved* to
-        *searched*: every conv signature the warmup pass resolved fresh is
-        autotuned (:func:`repro.runtime.autotune.tune_signature`) at the
-        batch bucket serving will dispatch (``tune_batch``, default the
-        batcher's ``max_batch_size`` default of 8) and the winners are
-        installed into the process's active tuning table — activating a
-        fresh empty table if none is.  Serving then benefits from tuned
-        dispatch without cold-path stalls; requests never wait on a search.
         """
         if model is None:
             if arch is None:
@@ -296,10 +277,6 @@ class ModelRegistry:
             self._models[name] = entry
         if warmup:
             self._warm(entry)
-        if tune:
-            if not warmup:
-                raise ValueError("register(tune=True) requires warmup=True")
-            self._tune(entry, tune_batch, tune_reps)
         counter_add("serve.models.registered")
         return entry
 
@@ -324,7 +301,6 @@ class ModelRegistry:
             e for e in runtime.global_cache().executables() if id(e) not in before
         ]
         entry.executables_resolved = len(fresh)
-        entry.conv_signatures = tuple(e.sig for e in fresh)
         entry.per_row_workspace_bytes = max(
             (e.per_row_workspace_bytes() for e in fresh),
             # Warm cache (a same-geometry model registered first): fall back
@@ -354,35 +330,6 @@ class ModelRegistry:
             entry.predicted_row_ns = per_row
             entry.predicted_call_ns = max(0.0, float(t2 - t1) - per_row * k)
         counter_add("serve.warmup.executables", entry.executables_resolved)
-
-    def _tune(
-        self, entry: RegisteredModel, tune_batch: int | None, tune_reps: int
-    ) -> None:
-        """Autotune the model's warmed conv set into the active tuning table.
-
-        Entries are measured at the serving batch bucket and installed via
-        :func:`repro.runtime.tuningcache.install`; the searched-then-kept
-        results also land in the perfledger (``path="tuned"``) so drift
-        between tune-time and serve-time cost is observable.  A warm cache
-        (same-geometry model registered first) leaves nothing fresh to
-        tune — the earlier registration already tuned those signatures.
-        """
-        from ..runtime import autotune as rt_autotune
-        from ..runtime import tuningcache
-
-        batch = tune_batch if tune_batch is not None else BatchPolicy().max_batch_size
-        if tuningcache.active_table() is None:
-            tuningcache.activate(tuningcache.TuningTable.fresh())
-        t0 = time.perf_counter()
-        for i, sig in enumerate(entry.conv_signatures):
-            tuningcache.install(
-                rt_autotune.tune_signature(
-                    sig, batch, reps=tune_reps, seed=rt_autotune.TUNE_SEED + i
-                )
-            )
-        entry.tuned_convs = len(entry.conv_signatures)
-        counter_add("tune.warmup.signatures", float(entry.tuned_convs), model=entry.name)
-        counter_add("tune.warmup.ms", (time.perf_counter() - t0) * 1e3, model=entry.name)
 
     # -- weight lifecycle ---------------------------------------------------
 

@@ -21,9 +21,8 @@ The robustness contract, in order of a request's life:
 Execution happens on a small worker pool (``execute_threads``, default 1)
 via ``run_in_executor`` so the event loop keeps admitting and rejecting
 while NumPy/BLAS crunches; futures complete back on the loop.  Teardown
-(:meth:`Scheduler.stop`) drains or fails the queue, shuts the worker pool,
-and calls the runtime :class:`~repro.runtime.engine.ExecutionConfig`'s
-(idempotent, dispatch-safe) ``shutdown``.
+(:meth:`Scheduler.stop`) drains or fails the queue and shuts the worker
+pool.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ import numpy as np
 from ..obs import counter_add, gauge_set, observe, observe_windowed, span, telemetry
 from ..obs.slo import SLOConfig, SLOStatus, SLOTracker
 from ..obs.telemetry import TraceContext
-from ..runtime import default_config, force_legacy
-from ..runtime.engine import ExecutionConfig
+from ..runtime import force_legacy
 from .batching import Batch, BatchPolicy, DynamicBatcher, PendingRequest
 from .errors import DeadlineExceeded, QueueFull, ServiceStopped
 from .registry import ModelRegistry, padded_rows
@@ -152,12 +150,9 @@ class Scheduler:
         self,
         registry: ModelRegistry,
         config: SchedulerConfig | None = None,
-        *,
-        exec_config: ExecutionConfig | None = None,
     ) -> None:
         self.registry = registry
         self.config = config if config is not None else SchedulerConfig()
-        self._exec_config = exec_config
         self._batcher = DynamicBatcher(
             self.config.policy,
             per_row_bytes=lambda model: registry.get(model).per_row_workspace_bytes,
@@ -204,13 +199,11 @@ class Scheduler:
         drain racing an outer teardown layer, a test's ``finally`` racing
         a crash path) *awaits that same teardown* instead of returning
         early — returning early would let its caller proceed to tear down
-        the pool and runtime config out from under the in-flight drain
-        batches the first stop is still completing.  The first caller's
-        ``drain`` choice wins.
+        the pool out from under the in-flight drain batches the first stop
+        is still completing.  The first caller's ``drain`` choice wins.
 
-        Also releases the execution worker pool and the runtime's pooled
-        dispatch config — both shutdowns are idempotent, so outer teardown
-        layers calling :meth:`stop` again are safe.
+        Also releases the execution worker pool, so outer teardown layers
+        calling :meth:`stop` again are safe.
         """
         if self._stopping is not None:
             await self._stopping.wait()
@@ -237,9 +230,6 @@ class Scheduler:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            # Runtime teardown tie-in: safe even if dispatch is mid-flight
-            # elsewhere, and safe to repeat (see ExecutionConfig.shutdown).
-            (self._exec_config or default_config()).shutdown()
             self._gauge_depth()
             self._publish_slo()
         finally:

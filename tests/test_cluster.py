@@ -280,7 +280,7 @@ class TestSpecRoundtrip:
             slot_bytes=1024,
             slots=4,
             models=(ModelSpec(name="m", arch="resnet18", width_mult=0.25),),
-            tune=True,
+            execute_threads=2,
         )
         back = WorkerSpec.from_dict(spec.as_dict())
         assert back == spec

@@ -7,7 +7,7 @@ default ``block_ic``, so the default path's bits never changed across the
 runtime switch — cuDNN-style plan-cache behaviour (hit on repeat, miss on
 new signature, bounded eviction), a content-keyed filter-transform cache
 that notices in-place weight mutation, and arithmetic-neutral dispatch
-knobs (threads / workspace chunking change scheduling, never bits).
+knobs (workspace chunking changes scheduling, never bits).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.core.boundary import Segment
 from repro.core.fused import conv2d_im2col_winograd, gemm_input_strip, winograd_segment
 from repro.core.kernels import get_kernel
 from repro.core.transforms import winograd_matrices
-from repro.runtime import ExecutionConfig, cache_stats, clear_cache, configure
+from repro.runtime import cache_stats, clear_cache, configure
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.runtime.executable import FILTER_CACHE_SLOTS
@@ -32,11 +32,11 @@ from repro.runtime.signature import ConvSignature
 def _fresh_runtime():
     """Each test sees an empty plan cache and default dispatch config."""
     clear_cache()
-    configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
     yield
     clear_cache()
-    configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
 
 
@@ -270,27 +270,17 @@ class TestFilterCache:
 
 
 class TestDispatchNeutrality:
-    """Threads and workspace chunking never change the bits."""
+    """Workspace chunking never changes the bits."""
 
     def test_batch_chunking_bit_identical(self, rng):
         x = rng.standard_normal((5, 6, 20, 4)).astype(np.float32)
         w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
         want = runtime.convolve(x, w)
-        tiny = ExecutionConfig(threads=0, workspace_bytes=1 << 14)
-        np.testing.assert_array_equal(runtime.convolve(x, w, config=tiny), want)
-
-    def test_thread_pool_bit_identical(self, rng):
-        x = rng.standard_normal((5, 6, 20, 4)).astype(np.float32)
-        w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        want = runtime.convolve(x, w)
-        pooled = ExecutionConfig(threads=2, workspace_bytes=1 << 14)
-        try:
-            for _ in range(3):  # repeat: scheduling order must not matter
-                np.testing.assert_array_equal(
-                    runtime.convolve(x, w, config=pooled), want
-                )
-        finally:
-            pooled.shutdown()
+        (exe,) = global_cache().executables()
+        unchunked = len(exe._tasks(x.shape[0]))
+        configure(workspace_bytes=1 << 14)
+        assert len(exe._tasks(x.shape[0])) > unchunked  # the bound splits the batch
+        np.testing.assert_array_equal(runtime.convolve(x, w), want)
 
     def test_counters_invariant_under_chunking_and_match_legacy(self, rng):
         """gather.* / winograd.* totals describe the *logical* work, so they
@@ -308,8 +298,8 @@ class TestDispatchNeutrality:
 
         legacy = totals(lambda: conv2d_im2col_winograd(x, w, legacy=True))
         one_chunk = totals(lambda: runtime.convolve(x, w))
-        tiny = ExecutionConfig(threads=0, workspace_bytes=1 << 12)
-        many_chunks = totals(lambda: runtime.convolve(x, w, config=tiny))
+        configure(workspace_bytes=1 << 12)
+        many_chunks = totals(lambda: runtime.convolve(x, w))
         assert one_chunk == legacy
         assert many_chunks == legacy
 
@@ -363,61 +353,6 @@ class TestSegmentValidation:
         a = winograd_segment(x, w, seg, ph=1, pw=1, oh=7, mats=mats.as_dtype(x.dtype))
         b = winograd_segment(x, w, seg, ph=1, pw=1, oh=7)
         np.testing.assert_array_equal(a, b)
-
-
-class TestShutdownSafety:
-    """ExecutionConfig.shutdown: idempotent, teardown-safe, dispatch-safe."""
-
-    def test_shutdown_is_idempotent(self):
-        cfg = ExecutionConfig(threads=2)
-        cfg.pool()
-        cfg.shutdown()
-        cfg.shutdown()  # second call is a no-op, not an error
-        cfg.shutdown(wait=False)
-
-    def test_shutdown_without_pool_is_a_noop(self):
-        ExecutionConfig(threads=0).shutdown()  # pool never built
-
-    def test_pool_rebuilds_after_shutdown(self, rng):
-        cfg = ExecutionConfig(threads=2)
-        first = cfg.pool()
-        cfg.shutdown()
-        second = cfg.pool()
-        assert second is not first
-        assert second.submit(lambda: 42).result() == 42
-        cfg.shutdown()
-
-    def test_shutdown_during_dispatch_falls_back_to_serial(self, rng):
-        """Convolutions racing a shutdown finish correctly, never raise."""
-        import threading as _threading
-
-        x = rng.standard_normal((4, 9, 23, 3)).astype(np.float32)
-        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
-        want = legacy_exact(x, w)
-        cfg = ExecutionConfig(threads=2, workspace_bytes=1 << 16)  # many chunks
-        runtime.convolve(x, w, config=cfg)  # compile once up front
-
-        stop = _threading.Event()
-
-        def harass():
-            while not stop.is_set():
-                cfg.shutdown()
-
-        saboteur = _threading.Thread(target=harass)
-        saboteur.start()
-        try:
-            with obs.capture():
-                for _ in range(30):
-                    got = runtime.convolve(x, w, config=cfg)
-                    np.testing.assert_array_equal(got, want)
-                fallbacks = obs.get_registry().get("runtime.pool.serial_fallbacks")
-                fallbacks_total = fallbacks.total() if fallbacks is not None else 0.0
-        finally:
-            stop.set()
-            saboteur.join()
-            cfg.shutdown()
-        # The race is timing-dependent; what must hold is correctness above.
-        assert fallbacks_total >= 0.0
 
 
 class TestCacheResizeRace:

@@ -41,11 +41,11 @@ IMAGE = 32
 @pytest.fixture(autouse=True)
 def _fresh_runtime():
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
     yield
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
 
 
@@ -321,6 +321,90 @@ class TestHttpEndpoint:
             )
 
         asyncio.run(scenario())
+
+
+class TestHttpFraming:
+    """Requests the server cannot delimit get a status and a closed
+    connection; their bytes are never parsed as the next request."""
+
+    @staticmethod
+    async def _exchange(raw: bytes, monkeypatch=None, **limits):
+        """One keep-alive connection: a good request, then ``raw``.
+
+        Returns the second response's status, its ``Connection`` header,
+        whether the server then closed the connection, and the requests
+        dispatch saw.
+        """
+        from repro.serve import httpfront
+
+        for name, value in limits.items():
+            monkeypatch.setattr(httpfront, name, value)
+        seen: list[tuple[str, str]] = []
+
+        async def dispatch(method, path, headers, body):
+            seen.append((method, path))
+            return 200, {"ok": True}, {}
+
+        server = httpfront.JsonHttpServer(dispatch)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+
+            async def response() -> tuple[int, dict[str, str]]:
+                status_line = await reader.readline()
+                assert status_line, "connection dropped without a response"
+                headers = {}
+                while (line := await reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode().partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                await reader.readexactly(int(headers["content-length"]))
+                return int(status_line.split()[1]), headers
+
+            writer.write(b"GET /first HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            assert (await response())[0] == 200
+            writer.write(raw)
+            await writer.drain()
+            status, headers = await response()
+            closed = headers.get("connection") == "close" and (
+                await asyncio.wait_for(reader.read(), 5.0) == b""
+            )
+        finally:
+            writer.close()
+            await server.stop()
+        return status, headers.get("connection"), closed, seen
+
+    SMUGGLED = b"GET /smuggled HTTP/1.1\r\n\r\n"
+
+    @pytest.mark.parametrize("value", [b"-5", b"abc", b"+5", b"1e3", b""])
+    def test_bad_content_length_is_400_and_close(self, value):
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n" + self.SMUGGLED
+        status, conn, closed, seen = asyncio.run(self._exchange(raw))
+        assert (status, conn, closed) == (400, "close", True)
+        assert seen == [("GET", "/first")]
+
+    @pytest.mark.parametrize("length,want", [(32, (200, "keep-alive")), (33, (413, "close"))])
+    def test_body_limit(self, monkeypatch, length, want):
+        body = self.SMUGGLED.ljust(length, b" ")
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % length + body
+        status, conn, closed, seen = asyncio.run(
+            self._exchange(raw, monkeypatch, MAX_BODY_BYTES=32)
+        )
+        assert (status, conn) == want
+        assert closed == (status == 413)
+        # Body bytes are never parsed as a request.
+        assert ("GET", "/smuggled") not in seen
+
+    @pytest.mark.parametrize("lines,want", [(4, (200, "keep-alive")), (5, (431, "close"))])
+    def test_header_line_limit(self, monkeypatch, lines, want):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(lines))
+        raw = b"GET /x HTTP/1.1\r\n" + headers + b"\r\n"
+        status, conn, closed, seen = asyncio.run(
+            self._exchange(raw, monkeypatch, MAX_HEADER_LINES=4)
+        )
+        assert (status, conn) == want
+        assert closed == (status == 431)
+        assert (("GET", "/x") in seen) == (status == 200)
 
 
 class TestLoadgen:
