@@ -90,9 +90,10 @@ def enabled() -> bool:
 # W3C trace context
 # --------------------------------------------------------------------------
 
-#: ``version-trace_id-span_id-flags``; version 00 is the only one defined.
+#: ``version-trace_id-span_id-flags``, then ``-``-separated fields that
+#: only a version above 00 may carry.
 _TRACEPARENT_RE = re.compile(
-    r"^([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$"
+    r"^([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})(-.*)?$"
 )
 
 
@@ -125,14 +126,18 @@ def parse_traceparent(header: str | None) -> TraceContext | None:
     """Parse a ``traceparent`` header; ``None`` for absent/malformed values.
 
     Malformed headers are dropped rather than raised — a bad client header
-    must never fail the request, it just starts a fresh trace.
+    must never fail the request, it just starts a fresh trace.  Per the W3C
+    versioning rules, version ``ff`` is invalid, version ``00`` has exactly
+    four fields, and a higher version is read from its first four.
     """
     if not header:
         return None
     m = _TRACEPARENT_RE.match(header.strip().lower())
     if m is None:
         return None
-    _, trace_id, span_id, flags = m.groups()
+    version, trace_id, span_id, flags, extra = m.groups()
+    if version == "ff" or (version == "00" and extra is not None):
+        return None
     # All-zero ids are invalid per the spec.
     if trace_id == "0" * 32 or span_id == "0" * 16:
         return None

@@ -1,11 +1,8 @@
-"""Shared JSON-over-HTTP front end for the serving tier.
+"""JSON-over-HTTP front end of :class:`~repro.serve.service.InferenceService`.
 
-One dependency-free HTTP/1.1 server (``asyncio.start_server``) used by
-both faces of the serving layer — :class:`~repro.serve.service.InferenceService`
-(single process) and :class:`~repro.serve.cluster.ClusterRouter` (the
-multi-worker tier) — so wire behaviour (keep-alive handling, header
-parsing, error statuses, body limits) is one implementation with one test
-surface, not two drifting copies.
+One dependency-free HTTP/1.1 server (``asyncio.start_server``) owning the
+wire behaviour: keep-alive handling, header parsing, error statuses and
+body limits.
 
 The server owns connections only; routing is delegated to an async
 ``dispatch(method, path, headers, body)`` callable returning
@@ -13,17 +10,17 @@ The server owns connections only; routing is delegated to an async
 JSON, a ``str`` verbatim with the content type named in the extra headers
 (the Prometheus exposition route).
 
-:func:`handle_infer_request` is the shared ``POST /v1/infer`` body:
-traceparent continuation, payload validation and the typed-error → HTTP
-status mapping around any ``infer(model, x, timeout_ms=..., trace=...)``
-coroutine — the single-process scheduler and the cluster router plug in
-their own.
+:func:`handle_infer_request` is the ``POST /v1/infer`` body: traceparent
+continuation, payload validation and the typed-error → HTTP status
+mapping around an ``infer(model, x, timeout_ms=..., trace=...)``
+coroutine.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from typing import Awaitable, Callable, Protocol
 
@@ -171,20 +168,21 @@ class JsonHttpServer:
     async def read_request(
         reader: asyncio.StreamReader,
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Read one request; ``None`` at EOF or on a garbled request line.
+        """Read one request; ``None`` at EOF.
 
         Raises :class:`FramingError` when the request cannot be delimited:
-        a ``Content-Length`` that is not a decimal count (400), a body over
+        a request line that is not ``METHOD TARGET HTTP/x`` or a
+        ``Content-Length`` that is not a decimal count (400), a body over
         :data:`MAX_BODY_BYTES` (413), or more than :data:`MAX_HEADER_LINES`
         header lines (431).
         """
         line = await reader.readline()
         if not line:
             return None
-        try:
-            method, path, _ = line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            return None
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise FramingError(f"malformed request line {line[:80]!r}")
+        method, path, _ = parts
         headers: dict[str, str] = {}
         for _ in range(MAX_HEADER_LINES + 1):
             header = await reader.readline()
@@ -206,10 +204,32 @@ class JsonHttpServer:
         return method.upper(), path, headers, body
 
 
+def _timeout_ms(payload: dict[str, object]) -> float | None | object:
+    """The request's deadline: absent is the scheduler default, ``null`` none.
+
+    Anything but a finite JSON number >= 0 is a :class:`BadRequest`; bools,
+    strings, containers, negatives and ``NaN``/``Infinity`` never reach the
+    scheduler's ``float()``.
+    """
+    if "timeout_ms" not in payload:
+        return "default"
+    value = payload["timeout_ms"]
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            ms = float(value)
+        except OverflowError:  # an integer beyond float range
+            ms = math.inf
+        if math.isfinite(ms) and ms >= 0:
+            return ms
+    raise BadRequest(f"timeout_ms must be null or a finite number >= 0, got {value!r:.80}")
+
+
 async def handle_infer_request(
     infer: _InferFn, headers: dict[str, str], body: bytes
 ) -> DispatchResult:
-    """The shared ``POST /v1/infer`` body around any infer coroutine."""
+    """The ``POST /v1/infer`` body around an infer coroutine."""
     # Continue the client's W3C trace (or start one) before any parsing
     # can fail, so even error responses carry the traceparent back.
     trace: TraceContext | None = None
@@ -232,7 +252,7 @@ async def handle_infer_request(
             x = np.asarray(payload["inputs"], dtype=np.float32)
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"inputs are not a numeric array: {exc}") from exc
-        timeout_ms = payload.get("timeout_ms", "default")
+        timeout_ms = _timeout_ms(payload)
         t0 = time.perf_counter()
         out = await infer(str(payload["model"]), x, timeout_ms=timeout_ms, trace=trace)
     except ServeError as exc:

@@ -75,10 +75,17 @@ class TestTraceparent:
             f"00-{'g' * 32}-{SPAN}-01",  # non-hex
             f"00-{'0' * 32}-{SPAN}-01",  # all-zero trace id
             f"00-{TRACE}-{'0' * 16}-01",  # all-zero span id
+            f"ff-{TRACE}-{SPAN}-01",  # version ff is invalid
+            f"00-{TRACE}-{SPAN}-01-extra",  # version 00 has exactly four fields
+            f"01-{TRACE}-{SPAN}-01extra",  # fields must end at a dash
         ],
     )
     def test_parse_drops_malformed(self, header):
         assert parse_traceparent(header) is None
+
+    def test_parse_future_version_reads_first_four_fields(self):
+        ctx = parse_traceparent(f"cc-{TRACE}-{SPAN}-01-what-the-future-holds")
+        assert ctx == TraceContext(TRACE, SPAN, True)
 
     def test_roundtrip_and_child(self):
         ctx = TraceContext(TRACE, SPAN)

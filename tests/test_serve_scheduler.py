@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs, runtime
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
@@ -60,12 +63,47 @@ def _service(**config_kw) -> InferenceService:
     return service
 
 
+async def _read_response(reader: asyncio.StreamReader) -> tuple[int, dict[str, str], bytes]:
+    """One HTTP response: status, lower-cased headers and body."""
+    status_line = await reader.readline()
+    assert status_line, "connection dropped without a response"
+    headers = {}
+    while (line := await reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
 def _x(seed: int = 0) -> np.ndarray:
     return (
         np.random.default_rng(seed)
         .standard_normal((IMAGE, IMAGE, 3))
         .astype(np.float32)
     )
+
+
+_X = np.zeros((IMAGE, IMAGE, 3), np.float32).tolist()
+
+#: Inputs the HTTP face must refuse with a 400, keyed by test id.
+_BAD_TIMEOUTS = {
+    "str": "soon",
+    "list": [1],
+    "object": {"a": 1},
+    "negative": -5,
+    "bool": True,
+    "nan": math.nan,
+    "inf": math.inf,
+    "int-overflow": 10**400,
+}
+_BAD_CONTENT_LENGTHS = [b"-5", b"abc", b"+5", b"1e3", b""]
+_GARBLED_LINES = {
+    "one-token": b"GARBAGE",
+    "two-tokens": b"GET /x",
+    "four-tokens": b"GET /x HTTP/1.1 extra",
+    "not-http": b"GET /x FTP/1.0",
+    "empty": b"",
+}
 
 
 class TestAdmissionControl:
@@ -118,6 +156,26 @@ class TestAdmissionControl:
             await service.scheduler.stop(drain=False)
             with pytest.raises(ServiceStopped):
                 await fut
+
+        asyncio.run(scenario())
+
+    def test_concurrent_stops_share_one_teardown(self):
+        """Concurrent stops during an in-flight flush share one teardown."""
+
+        async def scenario():
+            service = _service(policy=BatchPolicy(max_batch_size=4))
+            async with service:
+                pending = [
+                    asyncio.ensure_future(service.infer("net", _x(rid)))
+                    for rid in range(6)
+                ]
+                await asyncio.sleep(0)
+                await asyncio.gather(service.stop(), service.stop(), service.stop())
+                results = await asyncio.gather(*pending, return_exceptions=True)
+                # drain=True: every admitted request still gets its answer.
+                assert all(isinstance(r, np.ndarray) for r in results)
+            # __aexit__ was stop number four; a fifth is still fine.
+            await service.stop()
 
         asyncio.run(scenario())
 
@@ -245,16 +303,8 @@ class TestHttpEndpoint:
             + data
         )
         await writer.drain()
-        status_line = (await reader.readline()).decode()
-        length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b""):
-                break
-            if header.lower().startswith(b"content-length"):
-                length = int(header.split(b":")[1])
-        payload = json.loads(await reader.readexactly(length))
-        return int(status_line.split()[1]), payload
+        status, _, body = await _read_response(reader)
+        return status, json.loads(body)
 
     def test_routes_and_error_mapping(self):
         async def scenario():
@@ -300,6 +350,26 @@ class TestHttpEndpoint:
                 writer.close()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "timeout_ms", list(_BAD_TIMEOUTS.values()), ids=list(_BAD_TIMEOUTS)
+    )
+    def test_malformed_timeout_is_400(self, timeout_ms):
+        async def scenario():
+            service = _service(default_timeout_ms=30_000.0)
+            async with service:
+                host, port = await service.serve_http("127.0.0.1", 0)
+                reader, writer = await asyncio.open_connection(host, port)
+                result = await self._roundtrip(
+                    reader, writer, "POST", "/v1/infer",
+                    {"model": "net", "inputs": _X, "timeout_ms": timeout_ms},
+                )
+                writer.close()
+                return result
+
+        status, body = asyncio.run(scenario())
+        assert (status, body["kind"]) == (400, "BadRequest")
+        assert "timeout_ms" in body["error"]
 
     def test_http_infer_matches_in_process(self, rng):
         async def scenario():
@@ -349,23 +419,12 @@ class TestHttpFraming:
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
         try:
-
-            async def response() -> tuple[int, dict[str, str]]:
-                status_line = await reader.readline()
-                assert status_line, "connection dropped without a response"
-                headers = {}
-                while (line := await reader.readline()) not in (b"\r\n", b""):
-                    name, _, value = line.decode().partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                await reader.readexactly(int(headers["content-length"]))
-                return int(status_line.split()[1]), headers
-
             writer.write(b"GET /first HTTP/1.1\r\n\r\n")
             await writer.drain()
-            assert (await response())[0] == 200
+            assert (await _read_response(reader))[0] == 200
             writer.write(raw)
             await writer.drain()
-            status, headers = await response()
+            status, headers, _ = await _read_response(reader)
             closed = headers.get("connection") == "close" and (
                 await asyncio.wait_for(reader.read(), 5.0) == b""
             )
@@ -376,7 +435,14 @@ class TestHttpFraming:
 
     SMUGGLED = b"GET /smuggled HTTP/1.1\r\n\r\n"
 
-    @pytest.mark.parametrize("value", [b"-5", b"abc", b"+5", b"1e3", b""])
+    @pytest.mark.parametrize("line", list(_GARBLED_LINES.values()), ids=list(_GARBLED_LINES))
+    def test_garbled_request_line_is_400_and_close(self, line):
+        raw = line + b"\r\n\r\n" + self.SMUGGLED
+        status, conn, closed, seen = asyncio.run(self._exchange(raw))
+        assert (status, conn, closed) == (400, "close", True)
+        assert seen == [("GET", "/first")]
+
+    @pytest.mark.parametrize("value", _BAD_CONTENT_LENGTHS)
     def test_bad_content_length_is_400_and_close(self, value):
         raw = b"POST /x HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n" + self.SMUGGLED
         status, conn, closed, seen = asyncio.run(self._exchange(raw))
@@ -405,6 +471,87 @@ class TestHttpFraming:
         assert (status, conn) == want
         assert closed == (status == 431)
         assert (("GET", "/x") in seen) == (status == 200)
+
+
+def _post(path: bytes, body: bytes, length: bytes | None = None) -> bytes:
+    cl = b"%d" % len(body) if length is None else length
+    return b"POST " + path + b" HTTP/1.1\r\nContent-Length: " + cl + b"\r\n\r\n" + body
+
+
+def _infer(**payload) -> bytes:
+    return _post(b"/v1/infer", json.dumps(payload).encode())
+
+
+def _not_an_infer_payload(body: bytes) -> bool:
+    try:
+        doc = json.loads(body)
+    except ValueError:
+        return True
+    return not (isinstance(doc, dict) and "model" in doc and "inputs" in doc)
+
+
+#: One request: raw bytes, the status and error ``kind`` it must get
+#: (``None``: no kind is promised), and whether it breaks framing.
+_REQUESTS = st.one_of(
+    st.sampled_from([b"/healthz", b"/v1/models", b"/v1/stats", b"/metrics"]).map(
+        lambda path: (b"GET " + path + b" HTTP/1.1\r\n\r\n", 200, None, False)
+    ),
+    st.sampled_from([{}, {"timeout_ms": None}, {"timeout_ms": 30_000}, {"timeout_ms": 2.5e4}])
+    .map(lambda extra: (_infer(model="net", inputs=_X, **extra), 200, None, False)),
+    st.binary(max_size=24)
+    .filter(_not_an_infer_payload)
+    .map(lambda body: (_post(b"/v1/infer", body), 400, "BadRequest", False)),
+    st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+    .filter(lambda name: name != "net")
+    .map(lambda name: (_infer(model=name, inputs=_X), 404, "ModelNotFound", False)),
+    st.sampled_from([b"GET /", b"GET /nope", b"GET /v1/infer", b"POST /v1/models"]).map(
+        lambda head: (head + b" HTTP/1.1\r\n\r\n", 404, None, False)
+    ),
+    st.sampled_from(list(_BAD_TIMEOUTS.values())).map(
+        lambda t: (_infer(model="net", inputs=_X, timeout_ms=t), 400, "BadRequest", False)
+    ),
+    st.sampled_from(_BAD_CONTENT_LENGTHS).map(
+        lambda cl: (_post(b"/v1/infer", b"{}", cl), 400, "FramingError", True)
+    ),
+    st.sampled_from(list(_GARBLED_LINES.values())).map(
+        lambda line: (line + b"\r\n\r\n", 400, "FramingError", True)
+    ),
+)
+
+
+class TestHttpKeepAliveProperty:
+    """Any request sequence on one keep-alive connection: one response per
+    request, a typed status for every bad one, and a close right after the
+    first request the server cannot delimit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cases=st.lists(_REQUESTS, min_size=1, max_size=6))
+    def test_one_response_per_request_until_framing_error(self, cases):
+        async def scenario():
+            service = _service(default_timeout_ms=30_000.0)
+            async with service:
+                host, port = await service.serve_http("127.0.0.1", 0)
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    for raw, want_status, want_kind, breaks_framing in cases:
+                        writer.write(raw)
+                        await writer.drain()
+                        status, headers, body = await _read_response(reader)
+                        assert status == want_status
+                        if want_kind is not None:
+                            assert json.loads(body)["kind"] == want_kind
+                        want_conn = "close" if breaks_framing else "keep-alive"
+                        assert headers["connection"] == want_conn
+                        if breaks_framing:
+                            break
+                    else:
+                        writer.write_eof()
+                    # No further response: the server only hangs up.
+                    assert await asyncio.wait_for(reader.read(), 10.0) == b""
+                finally:
+                    writer.close()
+
+        asyncio.run(scenario())
 
 
 class TestLoadgen:
