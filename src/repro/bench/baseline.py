@@ -350,14 +350,13 @@ def _wallclock_metrics(
     """Measured fused-vs-legacy wall-clock on the Fig 8 3x3 shapes.
 
     Per shape: median-of-``reps`` wall-clock of the legacy interpreted path
-    (as shipped before the runtime: re-planned per call, default channel
-    blocking) and of the compiled runtime (warm executable cache — the
-    compile-once-execute-many regime the plan cache exists for), the
-    ``speedup`` ratio, and a ``bit_identical`` flag comparing the runtime
-    output against the legacy path.  Both sides run at their defaults,
-    which share the same channel blocking (``DEFAULT_BLOCK_IC``) and hence
-    the same accumulation order: the flag asserts exact bit equality of
-    what callers actually get.
+    (re-planned per call) and of the compiled runtime (warm executable
+    cache — the compile-once-execute-many regime the plan cache exists
+    for), the ``speedup`` ratio, and a ``bit_identical`` flag comparing the
+    runtime output against the legacy path.  Both accumulate in the same
+    ``DEFAULT_BLOCK_IC`` channel blocks (a constant, not a knob) and hence
+    in the same order: the flag asserts exact bit equality of what callers
+    actually get.
     """
     import statistics
 

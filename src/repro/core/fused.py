@@ -21,8 +21,8 @@ Stage 2 (Winograd)
         y[tile] = A^T acc
 
     The channel loop is blocked by ``BK`` columns (the cache-blocking of
-    §5.1); on the GPU the block size is 8 — here it is a tunable that bounds
-    the gathered-tile buffer exactly like SMEM bounds the CUDA version.
+    §5.1); on the GPU the block size is 8 — here it is
+    :data:`DEFAULT_BLOCK_IC`, which bounds the float32 error growth with IC.
 
 Boundary columns are handled by the §5.5 segmentation: the planner splits OW
 into kernel-owned segments plus a GEMM tail, and this module runs each
@@ -36,18 +36,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nhwc.tensor import conv_output_size, im2col_nhwc
+from ..nhwc.tensor import im2col_nhwc
 from ..nhwc.tiles import extract_width_tiles
 from ..obs import counter_add, span
 from .boundary import Segment, plan_width_segments
-from .kernels import KernelId, default_alpha_for_width, get_kernel
+from .kernels import KernelId, get_kernel
 from .transforms import TransformMatrices, winograd_matrices
 
 __all__ = ["conv2d_im2col_winograd", "winograd_segment", "gemm_segment", "gemm_input_strip"]
 
-#: Channel-block depth mirroring the kernels' BK-blocked IC loop.  On the GPU
-#: BK=8 bounds SMEM; here a larger block amortises Python overhead while still
-#: bounding the gathered-tile buffer.
+#: Channel-block depth mirroring the kernels' BK-blocked IC loop, shared by
+#: the interpreted path and the compiled runtime.  On the GPU BK=8 bounds
+#: SMEM; here blocking bounds the float32 error growth with IC, which
+#: accumulating the full depth at once would not (EXPERIMENTS.md, "Channel
+#: blocking").
 DEFAULT_BLOCK_IC = 64
 
 
@@ -60,7 +62,6 @@ def conv2d_im2col_winograd(
     alpha: int | None = None,
     variant: str = "base",
     dtype: np.dtype | type = np.float32,
-    block_ic: int = DEFAULT_BLOCK_IC,
     legacy: bool = False,
 ) -> np.ndarray:
     """Unit-stride 2D convolution via fused Im2col-Winograd.
@@ -85,64 +86,37 @@ def conv2d_im2col_winograd(
         single code path with the performance model.
     dtype:
         Computation dtype (``float32`` matches the paper's kernels).
-    block_ic:
-        Channel block depth of the accumulation loop, honoured bit-for-bit
-        on both paths (the compiled runtime replays the same blocked gemm
-        sequence).  ``block_ic >= IC`` fuses the full channel depth into
-        one contraction — the fastest runtime setting.
     legacy:
         ``False`` (default) resolves the call through the compiled-plan
         runtime (:mod:`repro.runtime`): cached boundary plan, transform
         matrices, filter transforms and einsum paths, with the Winograd
         stage gathered and input-transformed once per segment.  ``True``
         forces the original interpreted path (re-planned per call, explicit
-        per-``(fh, block_ic)`` accumulation loop) — the reference the
-        runtime is tested bit-identical against.  Both paths produce the
-        same bits at the same ``block_ic``.
+        per-``(fh, channel block)`` accumulation loop) — the reference the
+        runtime is tested bit-identical against.
 
     Returns
     -------
     ofms ``(N, OH, OW, OC)`` in ``dtype``.
     """
-    if not legacy:
-        from ..runtime import convolve  # lazy: runtime imports core at load
+    # Lazy: the runtime imports core at load.
+    from ..runtime import ConvSignature, convolve
 
-        return convolve(
-            x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-            block_ic=block_ic,
-        )
-    if x.ndim != 4 or w.ndim != 4:
-        raise ValueError(f"expected 4D x and w, got ndim {x.ndim} and {w.ndim}")
-    if x.shape[3] != w.shape[3]:
-        raise ValueError(f"channel mismatch: input IC={x.shape[3]}, filter IC={w.shape[3]}")
+    if not legacy:
+        return convolve(x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype)
+    # The runtime's envelope checks (padding, fp16 at alpha=16, registered
+    # kernel, non-empty output) and defaults, so both paths fail alike.
+    sig = ConvSignature.for_operands(
+        x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
+    )
+    ph, pw, alpha = sig.ph, sig.pw, sig.alpha
     oc, fh, fw, ic = w.shape
-    if ph is None:
-        ph = fh // 2
-    if pw is None:
-        pw = fw // 2
-    if not (0 <= pw < fw and 0 <= ph < fh) and (fh > 1 or fw > 1):
-        # pw >= fw would create all-zero leading tiles; supported by GEMM only.
-        raise ValueError(f"padding (ph={ph}, pw={pw}) must satisfy 0 <= p < filter extent")
-    if alpha is None:
-        alpha = default_alpha_for_width(fw)
-    if np.dtype(dtype) == np.float16 and alpha == 16:
-        # §6.2.2 taken to its limit: F(n, r) transform entries reach 1.6e4
-        # at alpha=16, past half precision's usable range — results would be
-        # numerically meaningless (alpha in {4, 8} stays within ~1e-2..1e-3
-        # relative error and is supported).
-        raise ValueError(
-            "alpha=16 is not representable in float16 (transform-matrix "
-            "magnitude disparity, see §6.2.2); use alpha<=8 or float32"
-        )
     primary = get_kernel(alpha, fw, variant)
 
     x = np.asarray(x, dtype=dtype)
     w = np.asarray(w, dtype=dtype)
-    n_, ih, iw, _ = x.shape
-    oh = conv_output_size(ih, fh, ph)
-    ow = conv_output_size(iw, fw, pw)
-    if oh < 1 or ow < 1:
-        raise ValueError(f"empty output {oh}x{ow}")
+    n_, ih, iw = x.shape[:3]
+    oh, ow = sig.oh, sig.ow
 
     y = np.empty((n_, oh, ow, oc), dtype=dtype)
     segments = plan_width_segments(ow, fw, primary=primary)
@@ -179,7 +153,7 @@ def conv2d_im2col_winograd(
                     width=seg.width,
                 ):
                     y[:, :, seg.start : seg.start + seg.width, :] = winograd_segment(
-                        x, w, seg, ph=ph, pw=pw, oh=oh, block_ic=block_ic
+                        x, w, seg, ph=ph, pw=pw, oh=oh
                     )
     return y
 
@@ -192,15 +166,14 @@ def winograd_segment(
     ph: int,
     pw: int,
     oh: int,
-    block_ic: int = DEFAULT_BLOCK_IC,
     mats: TransformMatrices | None = None,
 ) -> np.ndarray:
     """Compute one Winograd-owned output segment.
 
-    Implements the accumulator workflow of Algorithms 1/2: per filter row and
-    channel block, gather + input-transform the tiles, filter-transform the
-    weights, fuse the elementwise products into the ``alpha``-state
-    accumulator; output-transform once at the end.
+    Implements the accumulator workflow of Algorithms 1/2: filter-transform
+    the weights, gather + input-transform the tiles of every filter row,
+    then per filter row and channel block fuse the elementwise products
+    into the ``alpha``-state accumulator; output-transform once at the end.
 
     Returns the segment's ofms slice ``(N, OH, seg.width, OC)``.
     """
@@ -237,33 +210,42 @@ def winograd_segment(
         u_all = np.einsum("kp,ofpi->fkio", mats.G, w, optimize=True)
         u_all = np.ascontiguousarray(u_all)  # (FH, alpha, IC, OC)
 
+    tiles = []
+    for f in range(fh):
+        with span("gather", fh_offset=f):
+            tiles.append(
+                extract_width_tiles(
+                    x,
+                    fh_offset=f,
+                    ow_start=seg.start,
+                    num_tiles=num_tiles,
+                    n=n_out,
+                    alpha=alpha,
+                    ph=ph,
+                    pw=pw,
+                    oh=oh,
+                )
+            )  # (N, OH, T, alpha, IC) views
+    with span("transform.input", kernel=kernel.name):
+        # Input transform of every filter row at once, as in the runtime:
+        # V[k, f, ...] = sum_a DT[k, a] * tiles[f][..., a, :], a BLAS dot
+        # over ``a`` per element (one filter row of one column alone would
+        # take gemv, whose bits differ).  Laid out (alpha, FH, M, IC), so
+        # the channel blocks below are gemm operands of the runtime's
+        # geometry, which BLAS bits depend on.
+        v = np.tensordot(mats.DT, np.stack(tiles), axes=([1], [4]))
+        v = v.reshape(alpha, fh, batch * oh * num_tiles, ic)
+
     # Accumulator: alpha states per (batch*oh*tile, oc) — the register file.
     m = np.zeros((alpha, batch * oh * num_tiles, oc), dtype=x.dtype)
     for f in range(fh):
-        with span("gather", fh_offset=f):
-            tiles = extract_width_tiles(
-                x,
-                fh_offset=f,
-                ow_start=seg.start,
-                num_tiles=num_tiles,
-                n=n_out,
-                alpha=alpha,
-                ph=ph,
-                pw=pw,
-                oh=oh,
-            )  # (N, OH, T, alpha, IC) view
-        for c0 in range(0, ic, block_ic):
-            c1 = min(c0 + block_ic, ic)
-            with span("transform.input", fh_offset=f, ic0=c0, ic1=c1):
-                blk = np.ascontiguousarray(tiles[..., c0:c1])  # (N, OH, T, alpha, Cb)
-                # Input transform: V[k, ...] = sum_a DT[k, a] * blk[..., a, :].
-                v = np.einsum("ka,nhtac->knhtc", mats.DT, blk, optimize=True)
-                v = v.reshape(alpha, batch * oh * num_tiles, c1 - c0)
+        for c0 in range(0, ic, DEFAULT_BLOCK_IC):
+            c1 = min(c0 + DEFAULT_BLOCK_IC, ic)
             # Elementwise product in the transform domain, summed over the
             # channel block: batched (per-state) GEMM, i.e. the 8x(8x8)
             # outer-product stage.
             with span("accumulate", fh_offset=f, ic0=c0, ic1=c1):
-                m += v @ u_all[f, :, c0:c1, :]
+                m += v[:, f, :, c0:c1] @ u_all[f, :, c0:c1, :]
     # Output transform, once: y[j] = sum_k AT[j, k] m[k].
     with span("transform.output", kernel=kernel.name):
         y = np.einsum("jk,kmo->mjo", mats.AT, m, optimize=True)

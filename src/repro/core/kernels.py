@@ -19,6 +19,7 @@ for every Gamma_16.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .variants import Variant, VariantSpec, ruse_profitable, variant_spec
@@ -114,12 +115,19 @@ def kernels_for_width(r: int, include_extended: bool = False) -> list[KernelId]:
     return sorted(matches, key=lambda k: (-k.spec.coverage, k.alpha, k.variant))
 
 
+@functools.cache
+def _kernel_table() -> dict[tuple[int, int, str], KernelId]:
+    # The registry is static; built once, it makes every signature
+    # validation a dict lookup instead of a rebuild of the whole registry.
+    return {(k.alpha, k.r, k.variant): k for k in registered_kernels(include_extended=True)}
+
+
 def get_kernel(alpha: int, r: int, variant: Variant = "base") -> KernelId:
     """Look up ``Gamma_alpha^{variant}(., r)``; raises ValueError if absent."""
-    for k in registered_kernels(include_extended=True):
-        if k.alpha == alpha and k.r == r and k.variant == variant:
-            return k
-    raise ValueError(f"Gamma_{alpha}^{variant} with r={r} is not registered")
+    kernel = _kernel_table().get((alpha, r, variant))
+    if kernel is None:
+        raise ValueError(f"Gamma_{alpha}^{variant} with r={r} is not registered")
+    return kernel
 
 
 def supported_filter_widths(include_extended: bool = False) -> list[int]:

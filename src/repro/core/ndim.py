@@ -72,7 +72,6 @@ def conv3d_im2col_winograd(
     pw: int | None = None,
     alpha: int | None = None,
     dtype: np.dtype | type = np.float32,
-    block_ic: int = DEFAULT_BLOCK_IC,
 ) -> np.ndarray:
     """Unit-stride 3D convolution, channels-last, fused Im2col-Winograd.
 
@@ -129,7 +128,7 @@ def conv3d_im2col_winograd(
             )
         else:
             y[..., seg.start : seg.start + seg.width, :] = _winograd_segment_3d(
-                xp, w, seg.kernel, seg.start, seg.width, od, oh, block_ic
+                xp, w, seg.kernel, seg.start, seg.width, od, oh
             )
     return y
 
@@ -142,7 +141,6 @@ def _winograd_segment_3d(
     width: int,
     od: int,
     oh: int,
-    block_ic: int,
 ) -> np.ndarray:
     """Stage 2 over one width segment, accumulating over (fd, fh, ic)."""
     spec = kernel.spec
@@ -169,8 +167,8 @@ def _winograd_segment_3d(
                 strides=(sn, sd, sh, sw * n_out, sw, sc),
                 writeable=False,
             )
-            for c0 in range(0, ic, block_ic):
-                c1 = min(c0 + block_ic, ic)
+            for c0 in range(0, ic, DEFAULT_BLOCK_IC):
+                c1 = min(c0 + DEFAULT_BLOCK_IC, ic)
                 blk = np.ascontiguousarray(tiles[..., c0:c1])
                 v = np.einsum("ka,ndhtac->kndhtc", mats.DT, blk, optimize=True)
                 v = v.reshape(alpha, batch * od * oh * num_tiles, c1 - c0)

@@ -2,8 +2,9 @@
 
 The convolution layer is the experiment: ``engine="winograd"`` routes
 unit-stride convolutions through the compiled-plan runtime
-(:func:`repro.runtime.convolve` — cached executables + fh-fused
-contractions, bit-identical to :func:`repro.core.fused.conv2d_im2col_winograd`)
+(:func:`repro.runtime.convolve` — cached executables, and in frozen mode
+filter transforms resolved once per input shape; bit-identical to
+:func:`repro.core.fused.conv2d_im2col_winograd`)
 forward, and the backward deconvolution of :mod:`repro.core.gradients`
 (data grad), exactly as Dragon-Alpha dispatches (§5.7); ``engine="gemm"``
 uses the im2col GEMM everywhere and stands in for the PyTorch baseline.
@@ -16,11 +17,15 @@ All activations are NHWC.
 
 from __future__ import annotations
 
+import weakref
+from typing import Iterator
+
 import numpy as np
 
 from ..baselines.gemm import conv2d_gemm
 from ..core.gradients import conv2d_filter_grad, conv2d_input_grad
 from ..obs import span
+from ..runtime import ConvSignature, FilterBundle, get_executable, legacy_forced
 from ..runtime import convolve as runtime_convolve
 from .autograd import Tensor, make_op
 from .initializers import kaiming_uniform
@@ -106,6 +111,15 @@ class Module:
                     item.freeze()
         return self
 
+    def walk(self) -> Iterator["Module"]:
+        """Depth-first walk over the module tree, ``self`` first."""
+        yield self
+        for value in vars(self).values():
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            for item in items:
+                if isinstance(item, Module):
+                    yield from item.walk()
+
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
@@ -180,17 +194,29 @@ class Conv2D(Module):
         )
         self.bias = Parameter(np.zeros(oc, dtype=np.float32), name="conv.bias") if bias else None
         self._frozen = False
-        self._planned_cache: dict[int, object] = {}
+        #: Frozen filter operands per input shape ``(IH, IW, IC)``, held
+        #: weakly: the runtime's bounded filter cache owns them, so a model
+        #: awaiting garbage collection keeps no transforms alive.
+        self._bundles: dict[tuple[int, ...], weakref.ref[FilterBundle]] = {}
 
-    def _frozen_forward(self, xd: np.ndarray) -> np.ndarray:
-        from ..core.inference import PlannedConv2D  # local: keeps import cheap
+    @property
+    def frozen(self) -> bool:
+        """Whether the layer is in frozen-inference mode (see :meth:`freeze`)."""
+        return self._frozen
 
-        iw = xd.shape[2]
-        planned = self._planned_cache.get(iw)
-        if planned is None:
-            planned = PlannedConv2D(self.weight.data, iw=iw, ph=self.padding, pw=self.padding)
-            self._planned_cache[iw] = planned
-        return planned(xd)
+    def _frozen_bundle(self, xd: np.ndarray, wd: np.ndarray) -> FilterBundle:
+        """The filter operands of inputs shaped like ``xd``, resolved once."""
+        # Bound once: a freeze() during this forward swaps in a new dict, so
+        # a bundle of the old weights can only land in the discarded one.
+        bundles = self._bundles
+        key = xd.shape[1:]
+        ref = bundles.get(key)
+        bundle = ref() if ref is not None else None
+        if bundle is None:
+            sig = ConvSignature.for_operands(xd, wd, ph=self.padding, pw=self.padding)
+            bundle = get_executable(sig).filter_bundle(wd)
+            bundles[key] = weakref.ref(bundle)
+        return bundle
 
     @property
     def effective_engine(self) -> str:
@@ -199,17 +225,22 @@ class Conv2D(Module):
 
     def freeze(self) -> "Conv2D":
         """Enter frozen-inference mode (§6.1.2's pre-transposition, here:
-        pre-transformed filters).  The filter transform and boundary plan
-        are computed once per input width at first use; any ``train()``
-        discards them (weights are assumed fixed while frozen)."""
+        pre-transformed filters).  The filter transforms are resolved once
+        per input shape at first use and passed to every later call, so
+        frozen forwards do not hash the weights while the runtime's filter
+        cache keeps the transforms.  Weights are assumed fixed while
+        frozen: ``train()`` discards the transforms, and so does
+        :func:`~repro.dlframe.serialization.load_state_dict` (by freezing
+        again)."""
         self.eval()
         self._frozen = True
+        self._bundles = {}  # replaced, not cleared: see _frozen_bundle
         return self
 
     def train(self, mode: bool = True) -> "Conv2D":
         if mode:
             self._frozen = False
-            self._planned_cache.clear()
+            self._bundles = {}
         return super().train(mode)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -220,16 +251,18 @@ class Conv2D(Module):
         xd, wd = x.data, w.data
         with span(
             "layer.conv2d", engine=engine, ic=self.ic, oc=self.oc,
-            kernel=self.kernel, stride=stride, frozen=getattr(self, "_frozen", False),
+            kernel=self.kernel, stride=stride, frozen=self._frozen,
         ):
-            if engine == "winograd" and getattr(self, "_frozen", False):
-                y = self._frozen_forward(xd)
-            elif engine == "winograd":
+            if engine == "winograd":
                 # Compiled-plan runtime: the (shape, dtype) signature hits
-                # the executable cache after the first step, and the
+                # the executable cache after the first step.  Unfrozen, the
                 # content-hashed filter cache recomputes U exactly once per
-                # optimizer update (weights mutate in place).
-                y = runtime_convolve(xd, wd, ph=ph, pw=pw)
+                # optimizer update (weights mutate in place); frozen, the
+                # layer passes the bundle it resolved for this input shape
+                # (a force_legacy replay ignores bundles, so none is made).
+                frozen = self._frozen and not legacy_forced()
+                bundle = self._frozen_bundle(xd, wd) if frozen else None
+                y = runtime_convolve(xd, wd, ph=ph, pw=pw, bundle=bundle)
             else:
                 y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)
         if self.bias is not None:

@@ -18,7 +18,7 @@ import pathlib
 
 import numpy as np
 
-from .layers import Module, Parameter
+from .layers import Conv2D, Module, Parameter
 
 __all__ = ["state_dict", "load_state_dict", "save_weights", "load_weights", "weight_file_bytes"]
 
@@ -75,6 +75,11 @@ def load_state_dict(model: Module, state: dict[str, np.ndarray]) -> None:
         target[...] = arr
     if remaining:
         raise ValueError(f"state dict has unknown keys: {sorted(remaining)[:5]}")
+    # Frozen convs would reuse the filter transforms of the replaced
+    # weights; freezing again drops them, so the next forward uses these.
+    for module in model.walk():
+        if isinstance(module, Conv2D) and module.frozen:
+            module.freeze()
 
 
 def save_weights(model: Module, path: str | pathlib.Path) -> int:

@@ -6,10 +6,9 @@ every call.  This package compiles a conv *signature* — geometry, padding,
 ``Gamma_alpha`` kernel selection and dtype — into a reusable
 :class:`ConvExecutable` held in a process-wide LRU (the analogue of cuDNN's
 descriptor-keyed heuristic/plan cache), and executes the Winograd stage
-with one gather + input transform per segment, accumulating at the
-caller's ``block_ic`` channel blocking — bit-identical to the interpreted
-path at the same ``block_ic``, with ``block_ic=None`` fusing the full
-depth into a single fh-fused contraction.
+with one gather + input transform per segment, accumulating in the
+interpreted path's channel blocks — bit-identical to it.  It is the one
+Winograd executor behind both unfrozen and frozen ``Conv2D`` layers.
 
 Entry points
 ------------

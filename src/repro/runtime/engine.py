@@ -4,8 +4,8 @@
 :func:`repro.core.fused.conv2d_im2col_winograd`: same operands, same
 defaults, same error surface, bit-identical results — but the signature is
 resolved through the process-wide executable cache, so planning, transform
-matrices, gather descriptors, einsum paths and (per weight version) the
-filter transforms are all reused across calls.
+matrices, gather descriptors, einsum paths and (per weight content hash)
+the filter transforms are all reused across calls.
 
 :class:`ExecutionConfig` carries the execution knob ``workspace_bytes``,
 which bounds the per-chunk intermediate footprint.  It only changes how a
@@ -30,7 +30,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.fused import DEFAULT_BLOCK_IC
 from ..obs import counter_add
 from ..obs.perfledger import record_execution
 from ..obs.tracer import enabled as _obs_enabled
@@ -154,37 +153,30 @@ def convolve(
     alpha: int | None = None,
     variant: str = "base",
     dtype: np.dtype | type | str = np.float32,
-    block_ic: int | None = DEFAULT_BLOCK_IC,
-    version: object = None,
     bundle: FilterBundle | None = None,
 ) -> np.ndarray:
     """Unit-stride conv through the compiled-plan runtime.
 
     Drop-in equivalent of
-    :func:`repro.core.fused.conv2d_im2col_winograd` (bit-identical outputs
-    at the same ``block_ic``, identical validation errors).  ``block_ic``
-    is honoured exactly as in the interpreted path — the default matches
-    the legacy default, so unmodified callers keep bit-identical results;
-    ``block_ic=None`` accumulates the full channel depth in one fh-fused
-    contraction (the fastest setting, identical to ``block_ic >= IC``).
-    ``version`` optionally names the weight version to key the
-    filter-transform cache without content hashing, and ``bundle`` supplies
-    pre-resolved filter operands (frozen inference).
+    :func:`repro.core.fused.conv2d_im2col_winograd` (bit-identical outputs,
+    identical validation errors).  ``bundle`` supplies pre-resolved filter
+    operands (frozen layers); without it the filters are resolved through
+    the executable's content-hashed filter cache.
 
     Inside a :func:`force_legacy` scope the call bypasses the compiled
     executable and runs the interpreted reference path instead (same bits,
-    none of the cached state) — the degradation hatch the serving layer
-    uses when a compiled executable raises.
+    none of the cached state; ``bundle`` is ignored and ``w`` transformed
+    afresh) — the degradation hatch the serving layer uses when a compiled
+    executable raises, frozen models included.
     """
     if legacy_forced():
         from ..core.fused import conv2d_im2col_winograd  # lazy: import cycle
 
         counter_add("runtime.degraded.calls")
-        resolved_block = block_ic if block_ic is not None else int(w.shape[3])
         if not _obs_enabled():
             return conv2d_im2col_winograd(
                 x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-                block_ic=resolved_block, legacy=True,
+                legacy=True,
             )
         # Degraded calls are ledgered too (path="legacy"): the drift monitor
         # is most interesting exactly when the compiled path is failing.
@@ -193,8 +185,7 @@ def convolve(
         )
         t0 = time.perf_counter_ns()
         y = conv2d_im2col_winograd(
-            x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-            block_ic=resolved_block, legacy=True,
+            x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype, legacy=True
         )
         measured = float(time.perf_counter_ns() - t0)
         const, per_row = _legacy_coeffs(sig, _calibration_generation())
@@ -211,4 +202,4 @@ def convolve(
         x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
     )
     exe = get_executable(sig)
-    return exe(x, w, version=version, bundle=bundle, block_ic=block_ic)
+    return exe(x, w, bundle=bundle)

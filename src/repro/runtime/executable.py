@@ -15,22 +15,18 @@ re-derives on each call:
   region is interior (pure zero-copy view) or needs one zero-filled edge
   buffer,
 * memoized einsum contraction paths,
-* a weight-version-keyed cache of the §6.1.2 filter transforms ``U = G w``
-  (layout ``(alpha, FH, IC, OC)``, ready for the fh-fused batched matmul)
-  and of the folded GEMM-tail operand.
+* a content-hash-keyed cache of the §6.1.2 filter transforms ``U = G w``
+  (layout ``(alpha, FH, IC, OC)``) and of the folded GEMM-tail operand.
 
 Execution gathers all ``FH`` filter rows as one strided view and runs the
 input transform as one tensordot per segment.  The transform-domain
-accumulation honours the caller's channel blocking ``block_ic`` (default
-:data:`~repro.core.fused.DEFAULT_BLOCK_IC`, exactly the interpreted path's
-default): with ``block_ic >= IC`` (or ``None``) the products land in the
-``alpha``-state accumulator through one ``(alpha·FH)``-batched matmul
-followed by an in-order reduction over ``fh``; with smaller blocks the
-legacy loop's (``fh``-major, block-minor) gemm sequence is replayed with
-identical operand shapes.  Either way the accumulation order — and hence
-every output bit — matches the legacy path at the same ``block_ic``
-(asserted across the registry in ``tests/test_runtime.py``), with none of
-its per-block ``ascontiguousarray`` copies or per-call planning overhead.
+accumulation replays the legacy loop's (``fh``-major, channel-block-minor)
+gemm sequence at :data:`~repro.core.fused.DEFAULT_BLOCK_IC` with identical
+operand shapes, so the accumulation order — and hence every output bit —
+matches the legacy path (asserted across the registry in
+``tests/test_runtime.py``), with none of its per-call planning and filter
+transforms, and each input row gathered and transformed once, not once
+per filter row.
 
 Large batches are processed in bounded workspace chunks (see
 :class:`~repro.runtime.engine.ExecutionConfig`).  Chunk boundaries never
@@ -45,7 +41,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -67,7 +63,7 @@ __all__ = ["ConvExecutable", "FilterBundle", "build_filter_bundle"]
 SchemeKey = tuple[int, int]  # (n, r)
 
 #: Filter-transform cache entries kept per executable.  Inference holds one
-#: frozen entry; training alternates between at most a couple of weight
+#: entry; training alternates between at most a couple of weight
 #: versions per step (forward + recomputed backward filters), so a handful
 #: of slots bounds memory without thrashing.
 FILTER_CACHE_SLOTS = 4
@@ -78,8 +74,8 @@ class FilterBundle:
     """Pre-transformed filter operands for one weight version.
 
     ``u`` maps each Winograd scheme ``(n, r)`` in the plan to the transform
-    ``U[k, f, ic, oc] = sum_p G[k, p] w[oc, f, p, ic]`` (C-contiguous, the
-    batch layout of the fh-fused matmul); ``gemm_operand`` is the folded
+    ``U[k, f, ic, oc] = sum_p G[k, p] w[oc, f, p, ic]`` (C-contiguous, so
+    each ``U[:, f]`` feeds a batched matmul); ``gemm_operand`` is the folded
     ``(FH*FW*IC, OC)`` matrix of the §5.5 GEMM tail.
     """
 
@@ -102,8 +98,8 @@ def build_filter_bundle(
 ) -> FilterBundle:
     """Compute the :class:`FilterBundle` of ``w`` for the given schemes.
 
-    Shared by :class:`ConvExecutable` and the frozen-inference wrapper so
-    the filter-transform arithmetic has exactly one definition.
+    The one definition of the filter-transform arithmetic, behind
+    :meth:`ConvExecutable.filter_bundle`.
     """
     w = np.asarray(w, dtype=dtype)
     oc, fh, fw, ic = w.shape
@@ -233,7 +229,7 @@ class ConvExecutable:
         # (calibration generation, constant ns, per-row ns) — see predicted_ns.
         self._pred_cache: tuple[int, float, float] | None = None
 
-    # -- filter-transform cache (weight-version keyed) ---------------------
+    # -- filter-transform cache (content-hash keyed) -----------------------
 
     def weight_token(self, w: np.ndarray) -> object:
         """Content token of ``w``: exact, cheap relative to the transform.
@@ -246,13 +242,13 @@ class ConvExecutable:
         w = np.asarray(w, dtype=self.dtype)
         return ("h", w.shape, hashlib.sha1(w.tobytes()).digest())
 
-    def filter_bundle(self, w: np.ndarray, *, version: object = None) -> FilterBundle:
-        """Pre-transformed operands for ``w``, cached by weight version.
+    def filter_bundle(self, w: np.ndarray) -> FilterBundle:
+        """Pre-transformed operands for ``w``, cached by content hash.
 
-        ``version`` short-circuits the content hash for callers that track
-        weight identity themselves (frozen inference); by default the token
-        is an exact content hash, so in-place optimizer updates miss once
-        per step and repeated calls on unchanged weights hit.
+        The token is an exact content hash, so in-place optimizer updates
+        miss once per step and repeated calls on unchanged weights hit.
+        Frozen layers call this once per input shape and pass the bundle
+        to every later call.
         """
         w = np.asarray(w, dtype=self.dtype)
         if w.shape != (self.sig.oc, self.sig.fh, self.sig.fw, self.sig.ic):
@@ -260,7 +256,7 @@ class ConvExecutable:
                 f"filter shape {w.shape} does not match signature "
                 f"{(self.sig.oc, self.sig.fh, self.sig.fw, self.sig.ic)}"
             )
-        token = ("v", version) if version is not None else self.weight_token(w)
+        token = self.weight_token(w)
         with self._flock:
             bundle = self._filters.get(token)
             if bundle is not None:
@@ -324,20 +320,13 @@ class ConvExecutable:
         x: np.ndarray,
         w: np.ndarray | None = None,
         *,
-        version: object = None,
         bundle: FilterBundle | None = None,
-        block_ic: int | None = DEFAULT_BLOCK_IC,
     ) -> np.ndarray:
         """Run the compiled convolution on ``x`` (any batch size).
 
-        Either ``w`` (filters, resolved through the weight-version cache) or
-        a pre-resolved ``bundle`` must be provided.  ``block_ic`` is the
-        channel block depth of the transform-domain accumulation, honoured
-        bit-for-bit as in the interpreted path (``None`` accumulates the
-        full depth in one fh-fused contraction, the fastest setting).
+        Either ``w`` (filters, resolved through the content-hashed filter
+        cache) or a pre-resolved ``bundle`` must be provided.
         """
-        if block_ic is not None and block_ic < 1:
-            raise ValueError(f"block_ic must be >= 1 or None, got {block_ic}")
         sig = self.sig
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
@@ -350,18 +339,9 @@ class ConvExecutable:
         if bundle is None:
             if w is None:
                 raise ValueError("either w or a FilterBundle is required")
-            resolved: list[FilterBundle] = []
-        else:
-            resolved = [bundle]
+            bundle = self.filter_bundle(w)
         batch = x.shape[0]
         y = np.empty((batch, self.oh, self.ow, sig.oc), dtype=self.dtype)
-
-        def get_bundle() -> FilterBundle:
-            if not resolved:
-                assert w is not None
-                resolved.append(self.filter_bundle(w, version=version))
-            return resolved[0]
-
         tasks = self._tasks(batch)
         # Predict-vs-measure ledger: with observability on, every call is
         # clocked and recorded next to its cost-model prediction (zero clock
@@ -400,7 +380,7 @@ class ConvExecutable:
             )
             counter_add("runtime.exec.calls")
             for task in tasks:
-                self._run_task(task, x, y, get_bundle, block_ic)
+                self._run_task(task, x, y, bundle)
         if ledger:
             record_execution(
                 signature=sig.label,
@@ -458,23 +438,21 @@ class ConvExecutable:
         task: _Task,
         x: np.ndarray,
         y: np.ndarray,
-        get_bundle: Callable[[], FilterBundle],
-        block_ic: int | None,
+        bundle: FilterBundle,
     ) -> None:
         st = task.state
         if isinstance(st, _GemmSegment):
-            self._run_gemm(st, x, y, get_bundle, task)
+            self._run_gemm(st, x, y, bundle, task)
         else:
-            self._run_winograd(st, x, y, get_bundle, task, block_ic)
+            self._run_winograd(st, x, y, bundle, task)
 
     def _run_winograd(
         self,
         st: _WinogradSegment,
         x: np.ndarray,
         y: np.ndarray,
-        get_bundle: Callable[[], FilterBundle],
+        bundle: FilterBundle,
         task: _Task,
-        block_ic: int | None,
     ) -> None:
         sig = self.sig
         seg = st.seg
@@ -510,8 +488,7 @@ class ConvExecutable:
                     2 * batch * self.oh * num_tiles * oc * alpha * fh * ic,
                     kernel=st.kernel_name,
                 )
-            with span("transform.filter", kernel=st.kernel_name):
-                u = get_bundle().u[st.scheme]  # (alpha, FH, IC, OC)
+            u = bundle.u[st.scheme]  # (alpha, FH, IC, OC)
             with span("gather", rows=st.nrows, cols=st.ncols, interior=st.interior):
                 xb = x[n0:n1]
                 if st.interior:
@@ -552,8 +529,8 @@ class ConvExecutable:
                 "runtime.transform.input", kernel=st.kernel_name
             ):
                 # VR[k, n, row, t, c] = sum_a DT[k, a] row_tiles[n, row, t, a, c]
-                # — a dot over ``a`` per element, bit-identical to the
-                # per-fh legacy einsum, computed once per input row.
+                # — the legacy path's BLAS dot over ``a`` per element,
+                # computed once per input row instead of once per fh.
                 vr = np.tensordot(mats.DT, row_tiles, axes=([1], [3]))
                 sk, svn, svh, svt, svc = vr.strides
                 # Per-offset view: V[k, f, n, h, t, c] = VR[k, n, h + f, t, c],
@@ -569,29 +546,20 @@ class ConvExecutable:
                 )
                 m_rows = nc * self.oh * num_tiles
                 v = np.ascontiguousarray(v).reshape(alpha, fh, m_rows, ic)
-            block = ic if block_ic is None else min(block_ic, ic)
-            with span("accumulate", kernel=st.kernel_name, block_ic=block), telemetry.trace_span(
-                "runtime.accumulate", kernel=st.kernel_name, block_ic=block
+            block = min(DEFAULT_BLOCK_IC, ic)
+            with span("accumulate", kernel=st.kernel_name, block=block), telemetry.trace_span(
+                "runtime.accumulate", kernel=st.kernel_name, block=block
             ):
+                # Channel-blocked accumulation replaying the legacy loop's
+                # (fh-major, block-minor) gemm sequence with identical
+                # per-gemm operand shapes, hence identical bits.  Blocking
+                # bounds the float32 error growth with IC (EXPERIMENTS.md).
                 m = np.zeros((alpha, m_rows, oc), dtype=self.dtype)
-                if block >= ic:
-                    # The fh-fused (alpha*FH)-batched matmul, then an
-                    # in-order reduction over fh into the alpha-state
-                    # accumulator — exactly the legacy loop's accumulation
-                    # order at block_ic >= IC.
-                    p = np.matmul(v, u)  # (alpha, FH, M, OC)
-                    for f in range(fh):
-                        m += p[:, f]
-                else:
-                    # Channel-blocked accumulation replaying the legacy
-                    # loop's (fh-major, block-minor) gemm sequence with
-                    # identical per-gemm operand shapes, hence identical
-                    # bits at the same block_ic.
-                    for f in range(fh):
-                        vf, uf = v[:, f], u[:, f]
-                        for c0 in range(0, ic, block):
-                            c1 = min(c0 + block, ic)
-                            m += np.matmul(vf[:, :, c0:c1], uf[:, c0:c1, :])
+                for f in range(fh):
+                    vf, uf = v[:, f], u[:, f]
+                    for c0 in range(0, ic, block):
+                        c1 = min(c0 + block, ic)
+                        m += np.matmul(vf[:, :, c0:c1], uf[:, c0:c1, :])
             with span("transform.output", kernel=st.kernel_name), telemetry.trace_span(
                 "runtime.transform.output", kernel=st.kernel_name
             ):
@@ -606,7 +574,7 @@ class ConvExecutable:
         st: _GemmSegment,
         x: np.ndarray,
         y: np.ndarray,
-        get_bundle: Callable[[], FilterBundle],
+        bundle: FilterBundle,
         task: _Task,
     ) -> None:
         sig = self.sig
@@ -616,7 +584,7 @@ class ConvExecutable:
         ):
             counter_add("gemm.tail_segments")
             counter_add("gemm.tail_columns", seg.width)
-            operand = get_bundle().gemm_operand
+            operand = bundle.gemm_operand
             strip = gemm_input_strip(x, seg.start, seg.width, pw=sig.pw, fw=sig.fw)
             cols = im2col_nhwc(strip, sig.fh, sig.fw, sig.ph, 0)
             out = cols @ operand

@@ -7,10 +7,10 @@ does not: the batch size ``N`` only scales the gathered volume, so the same
 executable serves every batch of a shape (exactly how cuDNN keys its
 heuristic/plan caches on the conv descriptor, not the batch pointer).
 
-Validation lives here so the functional API
-(:func:`repro.core.fused.conv2d_im2col_winograd`), the runtime entry point
-(:func:`repro.runtime.convolve`) and the frozen-inference wrapper
-(:class:`repro.core.inference.PlannedConv2D`) all raise identical errors.
+Validation lives here, and only here, so the interpreted path
+(:func:`repro.core.fused.conv2d_im2col_winograd` with ``legacy=True``) and
+the runtime entry point (:func:`repro.runtime.convolve`) raise identical
+errors.
 """
 
 from __future__ import annotations
@@ -80,20 +80,23 @@ class ConvSignature:
     ) -> "ConvSignature":
         """Apply the functional API's defaults and validate the envelope.
 
-        Raises the same :class:`ValueError` messages the legacy
-        ``conv2d_im2col_winograd`` front door raises, so swapping the engine
-        cannot change the error surface.
+        The interpreted path validates through here too, so swapping the
+        engine cannot change the error surface.
         """
         if ph is None:
             ph = fh // 2
         if pw is None:
             pw = fw // 2
         if not (0 <= pw < fw and 0 <= ph < fh) and (fh > 1 or fw > 1):
+            # pw >= fw would create all-zero leading tiles; GEMM only.
             raise ValueError(f"padding (ph={ph}, pw={pw}) must satisfy 0 <= p < filter extent")
         if alpha is None:
             alpha = default_alpha_for_width(fw)
         dt = np.dtype(dtype)
         if dt == np.float16 and alpha == 16:
+            # §6.2.2 taken to its limit: F(n, r) transform entries reach
+            # 1.6e4 at alpha=16, past half precision's usable range (alpha
+            # in {4, 8} stays within ~1e-2..1e-3 relative error).
             raise ValueError(
                 "alpha=16 is not representable in float16 (transform-matrix "
                 "magnitude disparity, see §6.2.2); use alpha<=8 or float32"

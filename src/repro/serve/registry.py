@@ -3,21 +3,22 @@
 Registration does everything expensive exactly once, before the first
 request arrives:
 
-* builds (or adopts) a :mod:`repro.dlframe` model and pins it in ``eval``
-  mode — serving must be a pure function of the weights, so BatchNorm uses
-  running statistics and nothing mutates per request;
+* builds (or adopts) a :mod:`repro.dlframe` model and **freezes** it —
+  serving must be a pure function of the weights, so BatchNorm uses
+  running statistics, nothing mutates per request, and each Winograd conv
+  reuses the §6.1.2 filter transforms it resolves for an input shape;
 * **warms** the model through the compiled-plan runtime: one forward pass
   resolves every unit-stride convolution to its cached
   :class:`~repro.runtime.executable.ConvExecutable` (plan + transform
-  matrices + gather descriptors + einsum paths) and pays the §6.1.2
-  filter-transform miss, so the first real request hits everywhere;
+  matrices + gather descriptors + einsum paths) and its frozen filter
+  transforms, so requests never hash or transform weights;
 * measures the model's **per-row workspace** from the executables the
   warmup resolved (:meth:`~repro.runtime.executable.ConvExecutable.per_row_workspace_bytes`),
   which the dynamic batcher's workspace-budget flush trigger consumes;
 * tracks a **weight version** per model, bumped by
-  :meth:`ModelRegistry.load_weights` — the serving twin of the runtime's
-  content-hashed filter-transform tokens: reloading weights invalidates the
-  cached filter transforms exactly once per conv, then hits again.
+  :meth:`ModelRegistry.load_weights`: reloading weights drops the frozen
+  filter transforms, so each conv hashes and transforms the new weights
+  exactly once per input shape, then serves from them again.
 
 Batch-row execution floor
 -------------------------
@@ -37,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -91,18 +92,6 @@ def padded_rows(k: int, batch_quantum: int = 1) -> int:
     if batch_quantum < 1:
         raise ValueError(f"batch_quantum must be >= 1, got {batch_quantum}")
     return max(MIN_EXECUTE_ROWS, -(-k // batch_quantum) * batch_quantum)
-
-
-def _iter_modules(module: Module) -> Iterator[Module]:
-    """Depth-first walk over a module tree (the layers' containment idiom)."""
-    yield module
-    for value in vars(module).values():
-        if isinstance(value, Module):
-            yield from _iter_modules(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, Module):
-                    yield from _iter_modules(item)
 
 
 @dataclass
@@ -239,7 +228,7 @@ class ModelRegistry:
         extra_images: tuple[int, ...] = (),
         warmup: bool = True,
     ) -> RegisteredModel:
-        """Register ``model`` (or build ``arch``) under ``name`` and warm it.
+        """Register ``model`` (or build ``arch``) under ``name``, freeze and warm it.
 
         ``extra_images`` warms additional square input sizes (models whose
         head tolerates them, e.g. ResNet's global pooling) so each size's
@@ -260,8 +249,8 @@ class ModelRegistry:
                 seed=seed,
                 **({"image": image} if arch.startswith("vgg") else {}),
             )
-        model.eval()
-        convs = [m for m in _iter_modules(model) if isinstance(m, Conv2D)]
+        model.freeze()
+        convs = [m for m in model.walk() if isinstance(m, Conv2D)]
         entry = RegisteredModel(
             name=name,
             model=model,
@@ -338,15 +327,16 @@ class ModelRegistry:
     ) -> RegisteredModel:
         """Swap ``name``'s weights in place from a ``save_weights`` file.
 
-        Bumps the model's weight version; the runtime's content-hashed
-        filter-transform cache then misses exactly once per conv (the new
-        weights hash differently) and hits thereafter.  ``warmup=True``
-        pays those misses here rather than on the first post-reload request.
+        Bumps the model's weight version and freezes the model again, which
+        drops every conv's filter transforms: the next forward resolves them
+        once per conv (one content hash and one filter-cache miss each) and
+        later requests reuse them.  ``warmup=True`` pays that here rather
+        than on the first post-reload request.
         """
         entry = self.get(name)
         with entry._lock:
             _load_weights(entry.model, path)  # type: ignore[arg-type]
-            entry.model.eval()
+            entry.model.freeze()
             entry.weight_version += 1
         counter_add("serve.weights.reloaded", model=name)
         if warmup:

@@ -85,12 +85,15 @@ class TestAgainstFP64Direct:
         assert rel_err(got, want) < TOL_BY_ALPHA[8]
 
     def test_small_ic_and_block_boundary(self, rng):
-        """IC not divisible by block_ic exercises the ragged channel block."""
-        x = rng.standard_normal((1, 7, 12, 5)).astype(np.float32)
-        w = rng.standard_normal((3, 3, 3, 5)).astype(np.float32)
-        got = conv2d_im2col_winograd(x, w, block_ic=3)
-        want = conv2d_direct(x, w, ph=1, pw=1, dtype=np.float64)
-        assert rel_err(got, want) < TOL_BY_ALPHA[8]
+        """IC below one channel block, and IC not divisible by
+        DEFAULT_BLOCK_IC (a ragged last block), on both paths."""
+        for ic in (5, 67):
+            x = rng.standard_normal((1, 7, 12, ic)).astype(np.float32)
+            w = rng.standard_normal((3, 3, 3, ic)).astype(np.float32)
+            want = conv2d_direct(x, w, ph=1, pw=1, dtype=np.float64)
+            for legacy in (False, True):
+                got = conv2d_im2col_winograd(x, w, legacy=legacy)
+                assert rel_err(got, want) < TOL_BY_ALPHA[8], (ic, legacy)
 
     def test_float64_mode(self, rng):
         x = rng.standard_normal((1, 6, 8, 2))

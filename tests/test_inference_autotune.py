@@ -1,67 +1,9 @@
-"""Tests for PlannedConv2D (pre-transformed inference) and the autotuner."""
+"""Tests for the modeled autotuner (frozen inference lives in test_freeze.py)."""
 
-import numpy as np
 import pytest
 
-from repro.core import PlannedConv2D, conv2d_im2col_winograd
 from repro.gpusim import RTX3060TI, RTX4090, autotune_conv, clear_autotune_cache
 from repro.nhwc import ConvShape
-
-
-class TestPlannedConv2D:
-    @pytest.mark.parametrize("r,iw", [(3, 13), (5, 16), (2, 9), (9, 20), (7, 30)])
-    def test_bitwise_identical_to_functional(self, rng, r, iw):
-        """Pre-transforming must not change a single bit: same matrices,
-        same accumulation order."""
-        w = rng.standard_normal((4, r, r, 5)).astype(np.float32)
-        x = rng.standard_normal((2, 11, iw, 5)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=iw)
-        np.testing.assert_array_equal(planned(x), conv2d_im2col_winograd(x, w))
-
-    def test_reusable_across_batches(self, rng):
-        w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=12)
-        for batch in (1, 3, 8):
-            x = rng.standard_normal((batch, 8, 12, 4)).astype(np.float32)
-            assert planned(x).shape == (batch, 8, 12, 3)
-
-    def test_heights_are_free(self, rng):
-        """Only the width is baked into the plan; heights vary per call."""
-        w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=12)
-        for ih in (5, 9, 17):
-            x = rng.standard_normal((1, ih, 12, 4)).astype(np.float32)
-            assert planned(x).shape[1] == ih
-
-    def test_wrong_width_rejected(self, rng):
-        planned = PlannedConv2D(rng.standard_normal((2, 3, 3, 2)).astype(np.float32), iw=12)
-        with pytest.raises(ValueError, match="width"):
-            planned(rng.standard_normal((1, 8, 13, 2)).astype(np.float32))
-
-    def test_wrong_channels_rejected(self, rng):
-        planned = PlannedConv2D(rng.standard_normal((2, 3, 3, 2)).astype(np.float32), iw=12)
-        with pytest.raises(ValueError, match="channel"):
-            planned(rng.standard_normal((1, 8, 12, 3)).astype(np.float32))
-
-    def test_transformed_bytes_accounting(self, rng):
-        """U holds FH x alpha x IC x OC floats per distinct scheme."""
-        w = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=12)  # OW=12, n=6 divides: one scheme
-        assert planned.transformed_filter_bytes == 3 * 8 * 5 * 4 * 4
-
-    def test_boundary_plan_with_multiple_schemes(self, rng):
-        """An OW needing Gamma_8 + Gamma_4 segments pre-transforms both."""
-        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=10)  # OW=10 = 6 + 4
-        assert len(planned._u) == 2
-        x = rng.standard_normal((1, 6, 10, 3)).astype(np.float32)
-        np.testing.assert_array_equal(planned(x), conv2d_im2col_winograd(x, w))
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError, match="4D"):
-            PlannedConv2D(np.zeros((3, 3, 2), "f4"), iw=10)
-        with pytest.raises(ValueError, match="pw"):
-            PlannedConv2D(np.zeros((2, 3, 3, 2), "f4"), iw=10, pw=4)
 
 
 class TestAutotune:

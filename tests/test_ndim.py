@@ -100,9 +100,10 @@ class TestConv3D:
         assert rel_err(a16, want) < TOL_BY_ALPHA[16]
 
     def test_channel_blocking(self, rng):
-        x = rng.standard_normal((1, 4, 4, 12, 7)).astype(np.float32)
-        w = rng.standard_normal((2, 3, 3, 3, 7)).astype(np.float32)
-        got = conv3d_im2col_winograd(x, w, block_ic=3)
+        """IC = 67: two DEFAULT_BLOCK_IC channel blocks, the last ragged."""
+        x = rng.standard_normal((1, 4, 4, 12, 67)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 3, 67)).astype(np.float32)
+        got = conv3d_im2col_winograd(x, w)
         want = direct_conv3d(x, w, 1, 1, 1)
         assert rel_err(got, want) < TOL_BY_ALPHA[8]
 

@@ -2,12 +2,12 @@
 
 The contract under test is the one the runtime ships on: **bit-identical**
 outputs to the legacy interpreted path (``conv2d_im2col_winograd`` with
-``legacy=True``) at the same channel blocking — including the shared
-default ``block_ic``, so the default path's bits never changed across the
-runtime switch — cuDNN-style plan-cache behaviour (hit on repeat, miss on
-new signature, bounded eviction), a content-keyed filter-transform cache
-that notices in-place weight mutation, and arithmetic-neutral dispatch
-knobs (workspace chunking changes scheduling, never bits).
+``legacy=True``), both accumulating in ``DEFAULT_BLOCK_IC`` channel blocks
+(``tests/test_conv_envelope.py`` sweeps the whole envelope), cuDNN-style
+plan-cache behaviour (hit on repeat, miss on new signature, bounded
+eviction), a content-keyed filter-transform cache that notices in-place
+weight mutation, and arithmetic-neutral dispatch knobs (workspace chunking
+changes scheduling, never bits).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def _fresh_runtime():
 
 
 def legacy_exact(x: np.ndarray, w: np.ndarray, **kw) -> np.ndarray:
-    """The legacy path at full channel depth (== default for IC <= 64)."""
-    return conv2d_im2col_winograd(x, w, legacy=True, block_ic=w.shape[3], **kw)
+    """The legacy interpreted path, the runtime's bit-exact reference."""
+    return conv2d_im2col_winograd(x, w, legacy=True, **kw)
 
 
 class TestBitIdenticalEquivalence:
@@ -105,53 +105,23 @@ class TestBitIdenticalEquivalence:
         np.testing.assert_array_equal(got, legacy_exact(x, w))
 
     def test_default_block_ic_matches_legacy_default_for_deep_channels(self, rng):
-        """IC > DEFAULT_BLOCK_IC: the default path replays the legacy 64-wide
-        channel blocking, so the main entry point's bits never changed."""
+        """IC > DEFAULT_BLOCK_IC: both paths accumulate in the same 64-wide
+        channel blocks (the last one ragged), so the bits agree."""
         x = rng.standard_normal((1, 6, 19, 96)).astype(np.float32)
         w = rng.standard_normal((5, 3, 3, 96)).astype(np.float32)
-        want = conv2d_im2col_winograd(x, w, legacy=True)  # legacy defaults
-        got = conv2d_im2col_winograd(x, w)  # runtime defaults
+        want = conv2d_im2col_winograd(x, w, legacy=True)
+        got = conv2d_im2col_winograd(x, w)
         np.testing.assert_array_equal(got, want)
-        # ... and those bits differ from the full-depth fused accumulation,
-        # i.e. the blocking is load-bearing, not vacuous, at this IC.
-        fused = runtime.convolve(x, w, block_ic=None)
-        assert not np.array_equal(fused, want)
-
-    @pytest.mark.parametrize("block_ic", [1, 7, 8, 20, 64])
-    def test_explicit_block_ic_honoured(self, rng, block_ic):
-        """A caller-passed block_ic reaches the runtime accumulation loop."""
-        x = rng.standard_normal((2, 5, 17, 20)).astype(np.float32)
-        w = rng.standard_normal((4, 3, 3, 20)).astype(np.float32)
-        want = conv2d_im2col_winograd(x, w, legacy=True, block_ic=block_ic)
-        got = conv2d_im2col_winograd(x, w, block_ic=block_ic)
-        np.testing.assert_array_equal(got, want)
-
-    def test_block_ic_none_is_full_depth(self, rng):
-        x = rng.standard_normal((1, 5, 17, 24)).astype(np.float32)
-        w = rng.standard_normal((4, 3, 3, 24)).astype(np.float32)
-        np.testing.assert_array_equal(
-            runtime.convolve(x, w, block_ic=None), legacy_exact(x, w)
-        )
 
     def test_invalid_block_ic_raises(self, rng):
+        """The channel blocking is a constant, not a knob."""
         x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-        with pytest.raises(ValueError, match="block_ic"):
-            runtime.convolve(x, w, block_ic=0)
-
-    def test_planned_conv2d_honours_block_ic(self, rng):
-        """The frozen-inference wrapper keeps its legacy channel blocking."""
-        from repro.core.inference import PlannedConv2D
-
-        x = rng.standard_normal((1, 6, 19, 96)).astype(np.float32)
-        w = rng.standard_normal((5, 3, 3, 96)).astype(np.float32)
-        np.testing.assert_array_equal(
-            PlannedConv2D(w, 19)(x), conv2d_im2col_winograd(x, w, legacy=True)
-        )
-        np.testing.assert_array_equal(
-            PlannedConv2D(w, 19, block_ic=8)(x),
-            conv2d_im2col_winograd(x, w, legacy=True, block_ic=8),
-        )
+        for block_ic in (0, 8):
+            with pytest.raises(TypeError, match="block_ic"):
+                runtime.convolve(x, w, block_ic=block_ic)
+            with pytest.raises(TypeError, match="block_ic"):
+                conv2d_im2col_winograd(x, w, block_ic=block_ic)
 
     def test_validation_errors_match_legacy(self, rng):
         x = rng.standard_normal((1, 6, 17, 4)).astype(np.float32)
@@ -236,21 +206,32 @@ class TestFilterCache:
         assert exe.cached_filter_versions == 2
         np.testing.assert_array_equal(got, legacy_exact(x, w))
 
-    def test_version_token_skips_hashing(self, rng):
+    def test_bundle_skips_hashing(self, rng, monkeypatch):
+        """A pre-resolved bundle (what frozen layers pass) hashes nothing;
+        the content hash is the only token, so ``version=`` is gone."""
         x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         exe = self._exe(x, w)
-        y1 = exe(x, w, version=7)
-        y2 = exe(x, w, version=7)
-        assert exe.cached_filter_versions == 1
-        np.testing.assert_array_equal(y1, y2)
+        bundle = exe.filter_bundle(w)
+        hashed = []
+        monkeypatch.setattr(exe, "weight_token", lambda w: hashed.append(w))
+        y1 = exe(x, bundle=bundle)
+        y2 = runtime.convolve(x, w, bundle=bundle)
+        assert hashed == []
+        np.testing.assert_array_equal(y1, legacy_exact(x, w))
+        np.testing.assert_array_equal(y2, y1)
+        with pytest.raises(TypeError, match="version"):
+            exe(x, w, version=7)
+        with pytest.raises(TypeError, match="version"):
+            runtime.convolve(x, w, version=7)
+        with pytest.raises(TypeError, match="version"):
+            exe.filter_bundle(w, version=7)
 
     def test_filter_cache_is_bounded(self, rng):
         x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
         exe = self._exe(x, np.zeros((2, 3, 3, 3), np.float32))
-        for step in range(FILTER_CACHE_SLOTS + 2):
-            w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-            exe(x, w, version=step)
+        for _ in range(FILTER_CACHE_SLOTS + 2):
+            exe(x, rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
         assert exe.cached_filter_versions <= FILTER_CACHE_SLOTS
 
     def test_weight_token_is_a_real_digest(self, rng):

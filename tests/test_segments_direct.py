@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines import conv2d_direct
 from repro.core.boundary import GEMM, Segment
-from repro.core.fused import gemm_segment, winograd_segment
+from repro.core.fused import DEFAULT_BLOCK_IC, gemm_segment, winograd_segment
 from repro.core.kernels import get_kernel
 from repro.core.transforms import winograd_matrices
 
@@ -36,8 +36,8 @@ class TestWinogradSegment:
         assert rel_err(got, truth[:, :, 6:18, :]) < TOL_BY_ALPHA[8]
 
     def test_explicit_mats_injection(self, problem):
-        """Callers may pre-build transform matrices (the PlannedConv2D
-        optimisation); results are identical."""
+        """Callers may pre-build transform matrices; results are
+        identical."""
         x, w, truth = problem
         seg = Segment(kernel=get_kernel(8, 3), start=0, width=18)
         mats = winograd_matrices(6, 3, dtype="float32")
@@ -51,11 +51,15 @@ class TestWinogradSegment:
         with pytest.raises(ValueError, match="divisible"):
             winograd_segment(x, w, seg, ph=1, pw=1, oh=7)
 
-    @pytest.mark.parametrize("block_ic", [1, 2, 3, 64])
-    def test_any_channel_block(self, problem, block_ic):
-        x, w, truth = problem
+    @pytest.mark.parametrize("extra", [1, 2, 3, 64])
+    def test_any_channel_block(self, rng, extra):
+        """IC = DEFAULT_BLOCK_IC + extra: a ragged or a full last block."""
+        ic = DEFAULT_BLOCK_IC + extra
+        x = rng.standard_normal((2, 7, 20, ic)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, ic)).astype(np.float32)
+        truth = conv2d_direct(x, w, ph=1, pw=1, dtype=np.float64)
         seg = Segment(kernel=get_kernel(8, 3), start=0, width=18)
-        got = winograd_segment(x, w, seg, ph=1, pw=1, oh=7, block_ic=block_ic)
+        got = winograd_segment(x, w, seg, ph=1, pw=1, oh=7)
         assert rel_err(got, truth[:, :, :18, :]) < TOL_BY_ALPHA[8]
 
 

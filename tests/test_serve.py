@@ -6,9 +6,10 @@ The two contracts everything else leans on:
   request, the exact bits batch-1 serial execution would have produced
   (the ``MIN_EXECUTE_ROWS`` padding keeps every dispatch on BLAS's gemm
   path, so row arithmetic is independent of batch-mates).
-* **Weight-reload invalidation** — swapping a served model's weights makes
-  the runtime's content-hashed filter-transform cache miss exactly once
-  per compiled conv, then hit again, and the served outputs change.
+* **Weight-reload invalidation** — served models are frozen, so steady
+  state hashes no weights; swapping a model's weights makes each compiled
+  conv hash and transform the new ones exactly once (one filter-cache
+  miss), and the served outputs change.
 
 Plus unit coverage of the registry (validation, registration lifecycle)
 and the pure batcher data structure (flush triggers, stack/split).
@@ -25,6 +26,7 @@ from repro import obs, runtime
 from repro.dlframe.serialization import save_weights
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
+from repro.runtime.executable import ConvExecutable
 from repro.serve import (
     MIN_EXECUTE_ROWS,
     BadRequest,
@@ -54,6 +56,20 @@ def _fresh_runtime():
 def _counter_total(name: str) -> float:
     metric = obs.get_registry().get(name)
     return metric.total() if metric is not None else 0.0
+
+
+@pytest.fixture
+def weight_hashes(monkeypatch) -> list[int]:
+    """Grows by one per ``ConvExecutable.weight_token`` call."""
+    calls: list[int] = []
+    original = ConvExecutable.weight_token
+
+    def counting(self, w):
+        calls.append(1)
+        return original(self, w)
+
+    monkeypatch.setattr(ConvExecutable, "weight_token", counting)
+    return calls
 
 
 def _request(model: str, rows: np.ndarray, *, at: float = 0.0, deadline=None):
@@ -121,23 +137,24 @@ class TestRegistry:
 
 
 class TestWeightReload:
-    """Satellite: load_weights invalidates the filter-transform cache once."""
+    """load_weights drops the frozen filter transforms: one hash per conv."""
 
-    def test_reload_misses_once_per_conv_then_hits(self, rng, tmp_path):
+    def test_reload_misses_once_per_conv_then_hits(self, rng, tmp_path, weight_hashes):
         path = str(tmp_path / "new_weights.npz")
         with obs.capture():
             reg = ModelRegistry()
             entry = reg.register("r18", arch="resnet18", width_mult=0.125, seed=0)
             # Warmup paid exactly one content-hash miss per compiled conv.
             assert _counter_total("runtime.filter_cache.misses") == entry.winograd_convs
+            assert len(weight_hashes) == entry.winograd_convs
 
             x = rng.standard_normal((MIN_EXECUTE_ROWS, 32, 32, 3)).astype(np.float32)
             before_y = entry.infer_rows(x)
             misses0 = _counter_total("runtime.filter_cache.misses")
-            hits0 = _counter_total("runtime.filter_cache.hits")
-            entry.infer_rows(x)  # steady state: all hits
+            hashes0 = len(weight_hashes)
+            entry.infer_rows(x)  # steady state: frozen bundles, no hashing
             assert _counter_total("runtime.filter_cache.misses") == misses0
-            assert _counter_total("runtime.filter_cache.hits") > hits0
+            assert len(weight_hashes) == hashes0
 
             # Swap in differently-initialised weights of the same shape.
             donor = ModelRegistry().register(
@@ -148,19 +165,23 @@ class TestWeightReload:
             assert entry.weight_version == 1
 
             misses1 = _counter_total("runtime.filter_cache.misses")
+            hashes1 = len(weight_hashes)
             after_y = entry.infer_rows(x)
-            # Exactly one new miss per conv: new content hash, same plans.
+            # Exactly one new hash and miss per conv: new weights, same plans.
             assert (
                 _counter_total("runtime.filter_cache.misses") - misses1
                 == entry.winograd_convs
             )
+            assert len(weight_hashes) - hashes1 == entry.winograd_convs
             misses2 = _counter_total("runtime.filter_cache.misses")
-            entry.infer_rows(x)  # and hits thereafter
+            hashes2 = len(weight_hashes)
+            entry.infer_rows(x)  # and none thereafter
             assert _counter_total("runtime.filter_cache.misses") == misses2
+            assert len(weight_hashes) == hashes2
 
         assert not np.array_equal(before_y, after_y)
 
-    def test_reload_with_warmup_prepays_misses(self, tmp_path):
+    def test_reload_with_warmup_prepays_misses(self, tmp_path, weight_hashes):
         path = str(tmp_path / "w.npz")
         with obs.capture():
             reg = ModelRegistry()
@@ -169,10 +190,15 @@ class TestWeightReload:
                 "donor", arch="resnet18", width_mult=0.125, seed=2, warmup=False
             )
             save_weights(donor.model, path)
+            hashes0 = len(weight_hashes)
             reg.load_weights("r18", path)  # warmup=True re-pays the misses now
+            assert len(weight_hashes) - hashes0 == entry.winograd_convs
             misses = _counter_total("runtime.filter_cache.misses")
-            entry.infer_rows(np.zeros((2, 32, 32, 3), np.float32))
+            hashes1 = len(weight_hashes)
+            for _ in range(3):
+                entry.infer_rows(np.zeros((2, 32, 32, 3), np.float32))
             assert _counter_total("runtime.filter_cache.misses") == misses
+            assert len(weight_hashes) == hashes1
 
 
 # ---------------------------------------------------------------------------
